@@ -1,4 +1,4 @@
-//! Raw-speed A/B micro-benchmarks of the four filter/verify hot-loop
+//! Raw-speed A/B micro-benchmarks of the three filter/verify hot-loop
 //! optimisations, each timed against the implementation it replaced:
 //!
 //! * `hotloop_intersect` — the 4×u64 wide intersection/mask kernels of
@@ -7,43 +7,26 @@
 //! * `hotloop_posting_order` — a multi-feature posting fold applied
 //!   rarest-feature-first (what every method's `filter_into` now does) vs
 //!   the unordered arrival-order fold;
-//! * `hotloop_vf2_order` — generic VF2 under the rarity/degree static
-//!   matching order ([`OrderPolicy::RarityDegree`], the new default) vs the
-//!   legacy placed-neighbors order ([`OrderPolicy::PlacedNeighbors`]);
 //! * `hotloop_routing` — sharded waves under fingerprint-sharpened routing
 //!   ([`RoutingMode::SynopsisFingerprint`]) vs the bound checks alone
 //!   ([`RoutingMode::Synopsis`]), on a workload whose decoy shards
 //!   the bounds admit but the path-fingerprint content refutes.
 //!
-//! A fifth group, `gallop_crossover`, measures where galloping intersection
+//! A fourth group, `gallop_crossover`, measures where galloping intersection
 //! overtakes the linear merge across size-skew ratios — the measurement
 //! behind [`sqbench_index::candidates::GALLOP_CROSSOVER`].
 //!
 //! Every axis asserts its correctness gate **before** timing: both sides of
-//! each A/B pair must produce identical results, and the ordered-VF2 gate
-//! additionally pins full `query()` answers of all seven methods to the
-//! scan oracle. The committed `BENCH_micro_hotloops.json` baseline feeds
-//! the CI regression gate.
+//! each A/B pair must produce identical results. The committed
+//! `BENCH_micro_hotloops.json` baseline feeds the CI regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph, GraphBuilder, GraphId};
 use sqbench_harness::service::{RoutingMode, ServiceOptions, ShardedService};
 use sqbench_index::candidates::{
     intersect_gallop, intersect_posting, CandidateSet, Tombstones, GALLOP_CROSSOVER,
 };
-use sqbench_index::{build_index, intersect_sorted, MethodConfig, MethodKind};
-use sqbench_iso::{MatchState, OrderPolicy, Vf2Matcher};
-
-const ALL_METHODS: [MethodKind; 7] = [
-    MethodKind::Grapes,
-    MethodKind::Ggsx,
-    MethodKind::CtIndex,
-    MethodKind::GIndex,
-    MethodKind::TreeDelta,
-    MethodKind::GCode,
-    MethodKind::Scan,
-];
+use sqbench_index::{intersect_sorted, MethodConfig, MethodKind};
 
 // ---------------------------------------------------------------- intersect
 
@@ -106,26 +89,6 @@ fn fold_postings(lists: &[&Vec<GraphId>]) -> Vec<GraphId> {
         acc = intersect_posting(&acc, list);
     }
     acc
-}
-
-// ---------------------------------------------------------------- vf2 order
-
-fn vf2_dataset() -> Dataset {
-    GraphGen::new(
-        GraphGenConfig::default()
-            .with_graph_count(300)
-            .with_avg_nodes(12)
-            .with_avg_density(0.25)
-            .with_label_count(3)
-            .with_seed(0x1707_100b),
-    )
-    .generate()
-}
-
-/// Scan-verify the whole dataset with one matcher; returns per-graph
-/// verdicts (the gate compares these across order policies).
-fn scan_verify(matcher: &Vf2Matcher<'_>, dataset: &Dataset) -> Vec<bool> {
-    dataset.iter().map(|(_, g)| matcher.matches(g)).collect()
 }
 
 // ------------------------------------------------------------------ routing
@@ -278,95 +241,7 @@ fn bench_hotloops(c: &mut Criterion) {
     );
     group.finish();
 
-    // ---- Axis 3: legacy vs rarity/degree VF2 matching order.
-    let vf2_ds = vf2_dataset();
-    let vf2_queries: Vec<Graph> = QueryGen::new(0x0f2e_0a0b)
-        .generate(&vf2_ds, 12, 5)
-        .iter()
-        .map(|(q, _)| q.clone())
-        .collect();
-    // Gate 1: identical verdicts on every (query, graph) pair.
-    for q in &vf2_queries {
-        let legacy = Vf2Matcher::with_order(q, OrderPolicy::PlacedNeighbors);
-        let rarity = Vf2Matcher::with_order(q, OrderPolicy::RarityDegree);
-        assert_eq!(
-            scan_verify(&legacy, &vf2_ds),
-            scan_verify(&rarity, &vf2_ds),
-            "matching order changed a verdict for query {}",
-            q.name()
-        );
-    }
-    // Gate 2: the full ordered pipeline (filter + ordered verify) matches
-    // the scan oracle for every one of the seven methods.
-    let gate_config = MethodConfig::fast();
-    let oracle = build_index(MethodKind::Scan, &gate_config, &vf2_ds);
-    let expected: Vec<Vec<GraphId>> = vf2_queries
-        .iter()
-        .map(|q| oracle.query(&vf2_ds, q).answers)
-        .collect();
-    for kind in ALL_METHODS {
-        let index = build_index(kind, &gate_config, &vf2_ds);
-        for (qi, q) in vf2_queries.iter().enumerate() {
-            assert_eq!(
-                index.query(&vf2_ds, q).answers,
-                expected[qi],
-                "{} diverged from the scan oracle on query {qi}",
-                kind.name()
-            );
-        }
-    }
-    // Matchers are built once and the VF2 scratch is reused across the whole
-    // sweep (the production configuration), so the timed loop isolates the
-    // search-order effect instead of allocator noise.
-    let legacy_matchers: Vec<Vf2Matcher<'_>> = vf2_queries
-        .iter()
-        .map(|q| Vf2Matcher::with_order(q, OrderPolicy::PlacedNeighbors))
-        .collect();
-    let rarity_matchers: Vec<Vf2Matcher<'_>> = vf2_queries
-        .iter()
-        .map(|q| Vf2Matcher::with_order(q, OrderPolicy::RarityDegree))
-        .collect();
-    let mut group = c.benchmark_group("hotloop_vf2_order");
-    group.sample_size(30);
-    group.warm_up_time(std::time::Duration::from_millis(800));
-    group.measurement_time(std::time::Duration::from_secs(5));
-    group.bench_with_input(
-        BenchmarkId::new("placed_neighbors", vf2_ds.len()),
-        &(&vf2_ds, &legacy_matchers),
-        |b, (ds, matchers)| {
-            let mut state = MatchState::new();
-            b.iter(|| {
-                matchers
-                    .iter()
-                    .map(|m| {
-                        ds.iter()
-                            .filter(|(_, g)| m.matches_with(&mut state, g))
-                            .count()
-                    })
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("rarity_degree", vf2_ds.len()),
-        &(&vf2_ds, &rarity_matchers),
-        |b, (ds, matchers)| {
-            let mut state = MatchState::new();
-            b.iter(|| {
-                matchers
-                    .iter()
-                    .map(|m| {
-                        ds.iter()
-                            .filter(|(_, g)| m.matches_with(&mut state, g))
-                            .count()
-                    })
-                    .sum::<usize>()
-            })
-        },
-    );
-    group.finish();
-
-    // ---- Axis 4: bounds-only vs fingerprint-sharpened routing.
+    // ---- Axis 3: bounds-only vs fingerprint-sharpened routing.
     let route_ds = routing_dataset();
     let route_queries = routing_queries();
     let route_refs: Vec<&Graph> = route_queries.iter().collect();
@@ -467,11 +342,6 @@ fn bench_hotloops(c: &mut Criterion) {
             "posting order",
             format!("hotloop_posting_order/arrival/{POSTING_UNIVERSE}"),
             format!("hotloop_posting_order/rarest_first/{POSTING_UNIVERSE}"),
-        ),
-        (
-            "vf2 order",
-            format!("hotloop_vf2_order/placed_neighbors/{}", vf2_ds.len()),
-            format!("hotloop_vf2_order/rarity_degree/{}", vf2_ds.len()),
         ),
         (
             "routing",

@@ -59,5 +59,3 @@ pub use service::{
     AdmissionQueue, AnswerMemo, BatchReport, CachePolicy, FeatureCache, QueryService, Router,
     RoutingMode, ServiceOptions, ShardStrategy, ShardedReport, ShardedService, SubmitError,
 };
-#[allow(deprecated)]
-pub use service::{ServiceConfig, ShardedConfig};

@@ -1,9 +1,10 @@
 //! Experiment runner: builds indexes, runs query workloads and enforces the
 //! per-method time budget.
 
-use crate::metrics::{CacheCounters, MethodMetrics, StageTotals, Stopwatch};
+use crate::metrics::{MethodMetrics, StageTotals, Stopwatch};
 use crate::service::{
-    CachePolicy, QueryService, RoutingMode, ServiceOptions, ShardStrategy, ShardedService,
+    BatchReport, CachePolicy, QueryService, RoutingMode, ServiceOptions, ShardStrategy,
+    ShardedReport, ShardedService,
 };
 use serde::{Deserialize, Serialize};
 use sqbench_generator::QueryWorkload;
@@ -223,48 +224,114 @@ pub fn run_methods(
         .collect()
 }
 
+/// What one served workload contributes to [`MethodMetrics`] — the part
+/// that differs by serving path, produced from either service's report.
+#[derive(Default)]
+struct Served {
+    executed: usize,
+    failed: usize,
+    degraded: usize,
+    retries: u64,
+    timed_out: bool,
+    shards_probed: u64,
+    shards_skipped: u64,
+    false_positive_ratio: f64,
+    totals: StageTotals,
+    per_shard: Vec<StageTotals>,
+}
+
+impl From<BatchReport> for Served {
+    fn from(report: BatchReport) -> Self {
+        let executed = report.executed();
+        Served {
+            executed,
+            failed: report.failed(),
+            timed_out: report.timed_out(),
+            // The single index is probed once per executed query; it can
+            // neither answer partially nor retry.
+            shards_probed: executed as u64,
+            false_positive_ratio: report.false_positive_ratio(),
+            totals: report.totals,
+            ..Served::default()
+        }
+    }
+}
+
+impl From<ShardedReport> for Served {
+    fn from(report: ShardedReport) -> Self {
+        Served {
+            executed: report.executed(),
+            failed: report.failed(),
+            degraded: report.degraded(),
+            retries: report.retries(),
+            timed_out: report.expired() > 0,
+            shards_probed: report.shards_probed(),
+            shards_skipped: report.shards_skipped(),
+            false_positive_ratio: report.false_positive_ratio(),
+            totals: report.totals,
+            per_shard: report.per_shard,
+        }
+    }
+}
+
+/// Builds `kind` over `dataset` — one index, or one per shard when
+/// `options.service.shards > 1` (indexing time then covers all shard
+/// builds) — and serves the flattened workloads as a single batch or wave.
+/// The unified service surface flows through verbatim; runs keep the
+/// default bounded-retry policy and inject no faults, so fault-free metrics
+/// stay comparable across PRs.
 fn run_single_method(
     kind: MethodKind,
     dataset: &Dataset,
     workloads: &[QueryWorkload],
     options: &RunOptions,
 ) -> MethodMetrics {
-    if options.service.shards > 1 {
-        return run_sharded_method(kind, dataset, workloads, options);
-    }
-    let budget = options.time_budget;
+    let opts = &options.service;
+    let queries: Vec<&sqbench_graph::Graph> = workloads
+        .iter()
+        .flat_map(|w| w.iter().map(|(query, _)| query))
+        .collect();
     let build_watch = Stopwatch::start();
-    let index = build_index(kind, &options.config, dataset);
-    let indexing_time_s = build_watch.elapsed_secs();
-    let stats = index.stats();
-
-    let mut timed_out = build_watch.elapsed() > budget;
-    let mut stages = StageTotals::default();
-    let mut false_positive_ratio = 0.0;
-    let mut queries_executed = 0usize;
-    let mut queries_failed = 0usize;
-    let mut cache = CacheCounters::default();
-
-    if !timed_out {
-        // Flatten the workloads once and serve them as a single batch
-        // through the pipelined query service. The worker bound is clamped
-        // to the batch size (see RunOptions::service).
-        let queries: Vec<&sqbench_graph::Graph> = workloads
-            .iter()
-            .flat_map(|w| w.iter().map(|(query, _)| query))
-            .collect();
-        let workers = options.service.workers.max(1).min(queries.len().max(1));
-        let mut service =
-            QueryService::new(&*index, dataset, options.service.clone().workers(workers));
-        let report = service.run_batch(&queries, Some(build_watch.deadline_after(budget)));
-        timed_out = report.timed_out();
-        queries_executed = report.executed();
-        queries_failed = report.failed();
-        false_positive_ratio = report.false_positive_ratio();
-        stages = report.totals;
+    // `None` when the build alone exhausted the budget: the method is
+    // marked timed out and serves nothing.
+    let deadline = || {
+        (build_watch.elapsed() <= options.time_budget)
+            .then(|| build_watch.deadline_after(options.time_budget))
+    };
+    let unserved = |shards: usize| Served {
+        timed_out: true,
+        per_shard: vec![StageTotals::default(); shards],
+        ..Served::default()
+    };
+    let (indexing_time_s, stats, served, cache, shards, partition_overhead_bytes);
+    if opts.shards > 1 {
+        let mut service = ShardedService::new(kind, &options.config, dataset, opts.clone());
+        indexing_time_s = build_watch.elapsed_secs();
+        stats = service.stats();
+        shards = service.shard_count();
+        partition_overhead_bytes = service.partition_overhead_bytes();
+        served = match deadline() {
+            Some(deadline) => service.run_wave(&queries, Some(deadline)).into(),
+            None => unserved(shards),
+        };
+        cache = service.cache_counters();
+    } else {
+        let index = build_index(kind, &options.config, dataset);
+        indexing_time_s = build_watch.elapsed_secs();
+        stats = index.stats();
+        shards = 1;
+        partition_overhead_bytes = 0;
+        // The worker bound is clamped to the batch size (see
+        // RunOptions::service).
+        let workers = opts.workers.max(1).min(queries.len().max(1));
+        let mut service = QueryService::new(&*index, dataset, opts.clone().workers(workers));
+        served = match deadline() {
+            Some(deadline) => service.run_batch(&queries, Some(deadline)).into(),
+            None => unserved(0),
+        };
         cache = service.cache_counters();
     }
-
+    let stages = served.totals;
     MethodMetrics {
         method: kind.name().to_string(),
         indexing_time_s,
@@ -275,109 +342,23 @@ fn run_single_method(
         } else {
             (stages.filter_s + stages.verify_s) / stages.queries as f64
         },
-        false_positive_ratio,
-        queries_executed,
-        timed_out,
-        // The unsharded single-index service cannot answer partially and
-        // the batch path never sheds or retries.
-        queries_degraded: 0,
-        queries_failed,
+        false_positive_ratio: served.false_positive_ratio,
+        queries_executed: served.executed,
+        timed_out: served.timed_out,
+        queries_degraded: served.degraded,
+        queries_failed: served.failed,
+        // Batch runs bypass admission (nothing is shed) and serve a frozen
+        // snapshot — the online ingest path is `ShardedService::drain`.
         queries_shed: 0,
-        retries: 0,
-        // Batch runs serve a frozen snapshot of the dataset — the online
-        // ingest path flows through `ShardedService::drain` instead.
+        retries: served.retries,
         inserts_applied: 0,
         removes_applied: 0,
         stages,
-        shards: 1,
-        // The unsharded service probes its single index once per query.
-        shards_probed: queries_executed as u64,
-        shards_skipped: 0,
-        shard_stages: Vec::new(),
-        partition_overhead_bytes: 0,
-        cache,
-    }
-}
-
-/// The sharded twin of `run_single_method`: partitions the dataset, builds
-/// one index per shard (indexing time covers all shard builds) and serves
-/// the flattened workload as one wave across every shard pool. `timed_out`
-/// means at least one query missed the budget deadline on some shard.
-fn run_sharded_method(
-    kind: MethodKind,
-    dataset: &Dataset,
-    workloads: &[QueryWorkload],
-    options: &RunOptions,
-) -> MethodMetrics {
-    let budget = options.time_budget;
-    let build_watch = Stopwatch::start();
-    // The unified service surface flows through verbatim: shards, workers
-    // per shard, placement, routing, retry and cache policy. Benchmark
-    // runs keep the default bounded-retry policy and inject no faults, so
-    // fault-free metrics stay comparable across PRs.
-    let mut service = ShardedService::new(kind, &options.config, dataset, options.service.clone());
-    let indexing_time_s = build_watch.elapsed_secs();
-    let stats = service.stats();
-
-    let mut timed_out = build_watch.elapsed() > budget;
-    let mut stages = StageTotals::default();
-    let mut shard_stages = vec![StageTotals::default(); service.shard_count()];
-    let mut false_positive_ratio = 0.0;
-    let mut queries_executed = 0usize;
-    let mut queries_degraded = 0usize;
-    let mut queries_failed = 0usize;
-    let mut retries = 0u64;
-    let mut shards_probed = 0u64;
-    let mut shards_skipped = 0u64;
-    let mut cache = CacheCounters::default();
-
-    if !timed_out {
-        let queries: Vec<&sqbench_graph::Graph> = workloads
-            .iter()
-            .flat_map(|w| w.iter().map(|(query, _)| query))
-            .collect();
-        let report = service.run_wave(&queries, Some(build_watch.deadline_after(budget)));
-        timed_out = report.expired() > 0;
-        queries_executed = report.executed();
-        queries_degraded = report.degraded();
-        queries_failed = report.failed();
-        retries = report.retries();
-        false_positive_ratio = report.false_positive_ratio();
-        shards_probed = report.shards_probed();
-        shards_skipped = report.shards_skipped();
-        stages = report.totals;
-        shard_stages = report.per_shard;
-        cache = service.cache_counters();
-    }
-
-    MethodMetrics {
-        method: kind.name().to_string(),
-        indexing_time_s,
-        index_size_bytes: stats.size_bytes,
-        distinct_features: stats.distinct_features,
-        avg_query_time_s: if stages.queries == 0 {
-            0.0
-        } else {
-            (stages.filter_s + stages.verify_s) / stages.queries as f64
-        },
-        false_positive_ratio,
-        queries_executed,
-        timed_out,
-        queries_degraded,
-        queries_failed,
-        // Batch waves bypass admission, so nothing is ever shed here.
-        queries_shed: 0,
-        retries,
-        // Batch waves mutate nothing; see `ShardedService::drain` for the
-        // mixed read/write path that reports these.
-        inserts_applied: 0,
-        removes_applied: 0,
-        stages,
-        shards: service.shard_count(),
-        shards_probed,
-        shards_skipped,
-        shard_stages,
-        partition_overhead_bytes: service.partition_overhead_bytes(),
+        shards,
+        shards_probed: served.shards_probed,
+        shards_skipped: served.shards_skipped,
+        shard_stages: served.per_shard,
+        partition_overhead_bytes,
         cache,
     }
 }

@@ -284,27 +284,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Legacy constructor: a queue admitting at most `capacity` pending
-    /// queries.
-    #[deprecated(note = "use AdmissionQueue::new(ServiceOptions::new().queue_capacity(n))")]
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::new(super::ServiceOptions::new().queue_capacity(capacity))
-    }
-
-    /// Legacy constructor: like `with_capacity`, with a fault-injection
-    /// plan armed — submissions whose would-be ticket the plan targets
-    /// fail with [`SubmitError::Injected`] without consuming the ticket.
-    #[deprecated(
-        note = "use AdmissionQueue::new(ServiceOptions::new().queue_capacity(n).faults(plan))"
-    )]
-    pub fn with_faults(capacity: usize, faults: Arc<FaultPlan>) -> Self {
-        Self::new(
-            super::ServiceOptions::new()
-                .queue_capacity(capacity)
-                .faults(faults),
-        )
-    }
-
     /// Poison-tolerant lock: every guarded section is a short queue
     /// mutation that either completes or leaves the state consistent, so a
     /// producer that panicked elsewhere must not wedge admission for every

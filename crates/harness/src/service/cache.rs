@@ -23,7 +23,14 @@
 //!   a hit is bit-identical to re-executing the query. Isomorphic queries
 //!   share an entry by design: same canonical form, same answer set.
 //!
-//! [`QueryOutcome::Complete`]: super::stages::QueryOutcome::Complete
+//! # Admission (one policy, both services)
+//!
+//! The memo's admission policy lives here once, behind the crate-private
+//! `CacheLevels::admit` and `MemoAdmission::settle`: a query whose deadline has passed is never
+//! probed (it must time out in the pool exactly like the uncached path), a
+//! hit reaches no executor, and only `Complete` answers are memoized.
+//! [`super::QueryService`] and [`super::ShardedService`] both do
+//! *admit → run only the misses through their executor → settle*.
 //!
 //! # Invalidation (the ingest path)
 //!
@@ -42,12 +49,16 @@
 //! mutation (the stale-cache hazard pinned by the
 //! `mutations_invalidate_the_answer_memo` regression test).
 
+use super::past;
+use super::stages::QueryOutcome;
+use crate::metrics::{CacheCounters, Stopwatch};
 use sqbench_features::canonical::{graph_key, MAX_EXACT_CANON_VERTICES};
 use sqbench_graph::{Graph, GraphId};
 use sqbench_index::{CandidateSet, FeatureCacheStore};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// The cache knobs of the unified [`super::ServiceOptions`] surface — the
 /// *only* config surface that carries them. Capacity `0` disables a level;
@@ -372,9 +383,10 @@ impl AnswerMemo {
         }
     }
 
-    /// Memoizes a completed query's answer set. Callers only insert
-    /// [`super::stages::QueryOutcome::Complete`] results — a degraded or
-    /// partial answer set must never be served as complete later.
+    /// Memoizes a completed query's answer set. Only [`QueryOutcome::Complete`]
+    /// results may be inserted — a degraded or partial answer set must never
+    /// be served as complete later (the crate's `MemoAdmission::settle`
+    /// enforces this for both services).
     pub fn insert(&self, key: String, entry: AnswerEntry) {
         self.lock().put(key, Arc::new(entry));
     }
@@ -407,6 +419,137 @@ impl AnswerMemo {
     pub fn invalidate_all(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
         self.lock().clear();
+    }
+}
+
+/// The cache levels one owner holds: a service holds both (or, sharded,
+/// only the memo — its merged answers are global), a shard only its
+/// feature cache. Owns what is the same for every owner: construction from
+/// a [`CachePolicy`], counters, invalidation and memo admission.
+pub(crate) struct CacheLevels {
+    features: Option<FeatureCache>,
+    answers: Option<AnswerMemo>,
+}
+
+impl CacheLevels {
+    /// Builds the levels `policy` enables (capacity `0` = level absent).
+    pub(crate) fn new(policy: CachePolicy) -> Self {
+        CacheLevels {
+            features: (policy.feature_capacity > 0)
+                .then(|| FeatureCache::new(policy.feature_capacity)),
+            answers: (policy.answer_capacity > 0).then(|| AnswerMemo::new(policy.answer_capacity)),
+        }
+    }
+
+    /// The feature cache as the store the filter stage consults.
+    pub(crate) fn feature_store(&self) -> Option<&dyn FeatureCacheStore> {
+        self.features.as_ref().map(|f| f as &dyn FeatureCacheStore)
+    }
+
+    /// Adds this owner's hit/miss/eviction counts into `counters`.
+    pub(crate) fn add_counters(&self, counters: &mut CacheCounters) {
+        if let Some(features) = &self.features {
+            counters.feature_hits += features.hits();
+            counters.feature_misses += features.misses();
+            counters.evictions += features.evictions();
+        }
+        if let Some(memo) = &self.answers {
+            counters.answer_hits += memo.hits();
+            counters.answer_misses += memo.misses();
+            counters.evictions += memo.evictions();
+        }
+    }
+
+    /// Drops every entry of every level held and bumps their epochs.
+    pub(crate) fn invalidate_all(&self) {
+        if let Some(features) = &self.features {
+            features.invalidate_all();
+        }
+        if let Some(memo) = &self.answers {
+            memo.invalidate_all();
+        }
+    }
+
+    /// Admission-time memo probe of one batch or wave. `deadline_of(i)` is
+    /// query `i`'s effective deadline: a query already [`past`] it is not
+    /// probed and comes back a miss, so the executor reports it `TimedOut`
+    /// exactly as the uncached path would — a memo must never change
+    /// outcome semantics. Without a memo every query is a miss.
+    pub(crate) fn admit(
+        &self,
+        queries: &[&Graph],
+        deadline_of: impl Fn(usize) -> Option<Instant>,
+    ) -> MemoAdmission<'_> {
+        let Some(memo) = &self.answers else {
+            return MemoAdmission {
+                memo: None,
+                keys: Vec::new(),
+                hits: Vec::new(),
+                misses: (0..queries.len()).collect(),
+            };
+        };
+        let mut admission = MemoAdmission {
+            memo: Some(memo),
+            keys: Vec::with_capacity(queries.len()),
+            hits: Vec::new(),
+            misses: Vec::new(),
+        };
+        for (i, query) in queries.iter().enumerate() {
+            let key = if past(deadline_of(i), Instant::now()) {
+                None
+            } else {
+                answer_memo_key(query)
+            };
+            let probe = Stopwatch::start();
+            match key.as_deref().and_then(|k| memo.lookup(k)) {
+                Some(entry) => admission.hits.push((i, entry, probe.elapsed_secs())),
+                None => admission.misses.push(i),
+            }
+            admission.keys.push(key);
+        }
+        admission
+    }
+}
+
+/// The outcome of [`CacheLevels::admit`]: which queries the memo answered
+/// and which must execute, plus the canonical keys under which the latter
+/// may be memoized once they [`MemoAdmission::settle`].
+pub(crate) struct MemoAdmission<'m> {
+    memo: Option<&'m AnswerMemo>,
+    /// Canonical key per query; `None` for expired and oversized queries.
+    /// Empty when there is no memo.
+    keys: Vec<Option<String>>,
+    /// `(query index, memoized entry, probe seconds)` per hit, ascending.
+    pub(crate) hits: Vec<(usize, Arc<AnswerEntry>, f64)>,
+    /// Ascending indices of the queries that must execute.
+    pub(crate) misses: Vec<usize>,
+}
+
+impl MemoAdmission<'_> {
+    /// Reports how missed query `i` ended. Only `Complete` answers are
+    /// memoized: a `Degraded` union is sound but incomplete, and serving it
+    /// from the memo later would silently repeat the loss.
+    pub(crate) fn settle(
+        &self,
+        i: usize,
+        outcome: QueryOutcome,
+        answers: &[GraphId],
+        candidate_count: usize,
+        candidates_pruned: usize,
+    ) {
+        if outcome != QueryOutcome::Complete {
+            return;
+        }
+        if let (Some(memo), Some(Some(key))) = (self.memo, self.keys.get(i)) {
+            memo.insert(
+                key.clone(),
+                AnswerEntry {
+                    answers: answers.to_vec(),
+                    candidate_count,
+                    candidates_pruned,
+                },
+            );
+        }
     }
 }
 
@@ -467,52 +610,85 @@ mod tests {
         assert!(FeatureCacheStore::get(&cache, "k").is_none());
     }
 
+    /// The admission invariants, once, at the core both services share:
+    /// (a) an expired query is never probed, (b) only `Complete` answers
+    /// are memoized, (c) isomorphic queries share a key and oversized ones
+    /// have none.
     #[test]
-    fn answer_memo_round_trips_and_keys_isomorphic_queries_together() {
+    fn admission_core_invariants() {
         // The same triangle built with two different vertex orders: exact
         // canonicalization gives both the same memo key.
-        let q1 = GraphBuilder::new("q1")
+        let tri = GraphBuilder::new("q1")
             .vertices(&[1, 2, 3])
             .edges(&[(0, 1), (1, 2), (2, 0)])
             .build()
             .unwrap();
-        let q2 = GraphBuilder::new("q2")
+        let tri_iso = GraphBuilder::new("q2")
             .vertices(&[3, 1, 2])
             .edges(&[(1, 2), (2, 0), (0, 1)])
             .build()
             .unwrap();
-        let k1 = answer_memo_key(&q1).expect("small query is eligible");
-        let k2 = answer_memo_key(&q2).expect("small query is eligible");
-        assert_eq!(k1, k2);
-
-        let memo = AnswerMemo::new(4);
-        assert!(memo.lookup(&k1).is_none());
-        memo.insert(
-            k1.clone(),
-            AnswerEntry {
-                answers: vec![0, 2],
-                candidate_count: 3,
-                candidates_pruned: 7,
-            },
-        );
-        let entry = memo.lookup(&k2).expect("isomorphic query hits");
-        assert_eq!(entry.answers, vec![0, 2]);
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-    }
-
-    #[test]
-    fn oversized_queries_are_never_memo_eligible() {
+        assert_eq!(answer_memo_key(&tri), answer_memo_key(&tri_iso));
+        // One vertex past exact canonicalization: WL-fallback keys may
+        // collide and must not gate correctness, so there is no key.
         let n = MAX_EXACT_CANON_VERTICES + 1;
-        let labels: Vec<u32> = vec![1; n];
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        let q = GraphBuilder::new("big")
-            .vertices(&labels)
+        let big = GraphBuilder::new("big")
+            .vertices(&vec![1; n])
             .edges(&edges)
             .build()
             .unwrap();
-        assert!(
-            answer_memo_key(&q).is_none(),
-            "WL-fallback keys may collide and must not gate correctness"
-        );
+        assert!(answer_memo_key(&big).is_none());
+
+        let caches = CacheLevels::new(CachePolicy {
+            feature_capacity: 0,
+            answer_capacity: 8,
+        });
+        let lookups = || {
+            let mut c = CacheCounters::default();
+            caches.add_counters(&mut c);
+            c.answer_hits + c.answer_misses
+        };
+        // (b) every non-Complete outcome settles without memoizing.
+        for outcome in [
+            QueryOutcome::Degraded { shards_missing: 1 },
+            QueryOutcome::Failed,
+            QueryOutcome::TimedOut,
+        ] {
+            let admission = caches.admit(&[&tri], |_| None);
+            assert_eq!(admission.misses, vec![0]);
+            admission.settle(0, outcome, &[0, 2], 3, 7);
+            let again = caches.admit(&[&tri], |_| None);
+            assert!(again.hits.is_empty(), "{} was memoized", outcome.name());
+        }
+        let admission = caches.admit(&[&tri, &big], |_| None);
+        assert_eq!(admission.misses, vec![0, 1]);
+        admission.settle(0, QueryOutcome::Complete, &[0, 2], 3, 7);
+        admission.settle(1, QueryOutcome::Complete, &[5], 1, 9);
+
+        let now = Instant::now();
+        let live = Some(now + std::time::Duration::from_secs(60));
+        let expired = Some(now - std::time::Duration::from_secs(1));
+        // (name, query, deadline, probed-and-hit?)
+        let table: [(&str, &Graph, Option<Instant>, bool); 4] = [
+            ("isomorphic query shares the entry", &tri_iso, None, true),
+            ("open deadline probes", &tri, live, true),
+            ("expired query is not probed", &tri, expired, false),
+            ("oversized query is not probed", &big, None, false),
+        ];
+        for (name, query, deadline, hit) in table {
+            let before = lookups();
+            let admission = caches.admit(&[query], |_| deadline);
+            assert_eq!(lookups() - before, hit as u64, "{name}");
+            if hit {
+                assert!(admission.misses.is_empty(), "{name}");
+                let (i, entry, _) = &admission.hits[0];
+                assert_eq!((*i, entry.answers.as_slice()), (0, &[0, 2][..]), "{name}");
+                assert_eq!((entry.candidate_count, entry.candidates_pruned), (3, 7));
+            } else {
+                assert!(admission.hits.is_empty(), "{name}");
+                assert_eq!(admission.misses, vec![0], "{name}");
+            }
+        }
     }
 }

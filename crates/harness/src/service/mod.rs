@@ -88,13 +88,22 @@
 //! # Constructor convention
 //!
 //! Every long-lived object of the serving stack is constructed from the
-//! unified [`options::ServiceOptions`] builder: `Type::new(opts)` — taking
-//! `impl Into<ServiceOptions>` or `&ServiceOptions` — is the single entry
-//! point ([`QueryService::new`], [`ShardedService::new`],
-//! [`AdmissionQueue::new`]). The legacy per-type configs
-//! ([`ServiceConfig`], [`ShardedConfig`]) and bespoke `with_*`
-//! constructors survive only as deprecated delegating shims; new knobs —
-//! the cache policy is the first — land on `ServiceOptions` only.
+//! one [`options::ServiceOptions`] builder: `Type::new(opts)` — taking
+//! `impl Into<ServiceOptions>` — is the single entry point
+//! ([`QueryService::new`], [`ShardedService::new`],
+//! [`AdmissionQueue::new`]). New knobs land on `ServiceOptions` only.
+//!
+//! # Two services, one core
+//!
+//! [`QueryService`] and [`ShardedService`] share everything that is policy:
+//! the batch loop (`run_batch_on`, which every shard executor also
+//! calls), memo admission and cache lifecycle (`cache::CacheLevels`), and
+//! the deadline predicate (`past`). `QueryService` is deliberately *not*
+//! a 1-shard `ShardedService`: it borrows `&dyn GraphIndex` + `&Dataset`
+//! from its caller, while persistent shard executors need `'static`
+//! ownership of both. A façade would also add a channel hop and a mutex per
+//! wave to the unsharded path while deleting no loop that is not already
+//! shared.
 
 pub mod admission;
 pub mod cache;
@@ -110,8 +119,6 @@ pub use admission::{AdmissionQueue, AdmittedQuery, CostModel, IngestOp, SubmitEr
 pub use cache::{answer_memo_key, AnswerEntry, AnswerMemo, CachePolicy, FeatureCache, Lru};
 pub use fault::{silence_injected_panics, FaultPlan, FaultSpec, InjectedPanic};
 pub use options::ServiceOptions;
-#[allow(deprecated)]
-pub use sharded::ShardedConfig;
 pub use sharded::{
     partition_dataset, RetryPolicy, ShardPart, ShardStrategy, ShardedQueryRecord, ShardedReport,
     ShardedService,
@@ -120,38 +127,19 @@ pub use stages::{QueryOutcome, QueryRecord};
 pub use synopsis::{Router, RoutingMode};
 
 use crate::metrics::{counted_false_positive_ratio, CacheCounters, StageTotals, Stopwatch};
+use cache::CacheLevels;
 use pool::{worker_loop, BatchShared, WaveFaults, WorkerArena};
 use sqbench_graph::{Dataset, Graph};
 use sqbench_index::{CandidateSet, FeatureCacheStore, GraphIndex};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Legacy configuration of a [`QueryService`], kept as a compatibility
-/// shim: it converts into [`ServiceOptions`] (the unified surface) and
-/// carries only the worker count — cache knobs never landed here.
-#[deprecated(note = "use ServiceOptions::new().workers(n) — the unified service config surface")]
-#[derive(Debug, Clone)]
-pub struct ServiceConfig {
-    /// Worker threads in the pool. Clamped to at least 1; a batch never
-    /// spawns more workers than it has queries.
-    pub workers: usize,
-}
-
-#[allow(deprecated)]
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig { workers: 1 }
-    }
-}
-
-#[allow(deprecated)]
-impl ServiceConfig {
-    /// A service config with the given worker count.
-    pub fn with_workers(workers: usize) -> Self {
-        ServiceConfig {
-            workers: workers.max(1),
-        }
-    }
+/// `true` when `deadline` has passed at `now`. Strict `>` — a query exactly
+/// at its deadline is still in time to start. This is the serving stack's
+/// one deadline predicate: memo admission, the pool's claim check and the
+/// sharded merge all ask it, so no query can be "too late to probe the
+/// memo" yet "in time to execute".
+pub(crate) fn past(deadline: Option<Instant>, now: Instant) -> bool {
+    deadline.is_some_and(|d| now > d)
 }
 
 /// The batch query service. Construct once per loaded index, then feed it
@@ -161,11 +149,9 @@ pub struct QueryService<'a> {
     index: &'a dyn GraphIndex,
     dataset: &'a Dataset,
     arenas: Vec<WorkerArena>,
-    /// Cross-query feature-bitset cache shared by the pool's workers
-    /// (`None` = disabled, the zero-overhead default).
-    features: Option<FeatureCache>,
-    /// Whole-answer memo probed at admission (`None` = disabled).
-    answers: Option<AnswerMemo>,
+    /// The feature cache shared by the pool's workers and the whole-answer
+    /// memo probed at admission (both absent by default).
+    caches: CacheLevels,
 }
 
 /// Everything a batch run produced: one record per query (in batch order)
@@ -238,24 +224,20 @@ impl BatchReport {
 impl<'a> QueryService<'a> {
     /// Creates a service over a loaded index and its dataset from the
     /// unified options (`workers` and `cache` are read; the sharding knobs
-    /// are ignored at this layer). Accepts anything convertible into
-    /// [`ServiceOptions`], which keeps legacy [`ServiceConfig`] callers
-    /// compiling through the deprecated `From` shim.
+    /// are ignored at this layer).
     pub fn new(
         index: &'a dyn GraphIndex,
         dataset: &'a Dataset,
         opts: impl Into<ServiceOptions>,
     ) -> Self {
         let opts = opts.into();
-        let workers = opts.workers.max(1);
         QueryService {
             index,
             dataset,
-            arenas: (0..workers).map(|_| WorkerArena::default()).collect(),
-            features: (opts.cache.feature_capacity > 0)
-                .then(|| FeatureCache::new(opts.cache.feature_capacity)),
-            answers: (opts.cache.answer_capacity > 0)
-                .then(|| AnswerMemo::new(opts.cache.answer_capacity)),
+            arenas: (0..opts.workers.max(1))
+                .map(|_| WorkerArena::default())
+                .collect(),
+            caches: CacheLevels::new(opts.cache),
         }
     }
 
@@ -274,16 +256,7 @@ impl<'a> QueryService<'a> {
     /// zeros when caching is disabled).
     pub fn cache_counters(&self) -> CacheCounters {
         let mut counters = CacheCounters::default();
-        if let Some(features) = &self.features {
-            counters.feature_hits = features.hits();
-            counters.feature_misses = features.misses();
-            counters.evictions += features.evictions();
-        }
-        if let Some(memo) = &self.answers {
-            counters.answer_hits = memo.hits();
-            counters.answer_misses = memo.misses();
-            counters.evictions += memo.evictions();
-        }
+        self.caches.add_counters(&mut counters);
         counters
     }
 
@@ -294,136 +267,58 @@ impl<'a> QueryService<'a> {
     /// `insert_graph`/`remove_graph` (and drained [`IngestOp`] mutations)
     /// call its equivalent of this hook automatically.
     pub fn invalidate_caches(&self) {
-        if let Some(features) = &self.features {
-            features.invalidate_all();
-        }
-        if let Some(memo) = &self.answers {
-            memo.invalidate_all();
-        }
+        self.caches.invalidate_all();
     }
 
     /// Runs one batch through the pipeline. Queries claimed after
     /// `deadline` are skipped (recorded as `None`), mirroring the
     /// experiment budget semantics; `None` means no deadline.
+    ///
+    /// Memo admission first (see [`cache`]): hits are answered on the spot,
+    /// the misses run as one sub-batch on the pool (preserving relative
+    /// batch order), and both merge back by batch index.
     pub fn run_batch(&mut self, queries: &[&Graph], deadline: Option<Instant>) -> BatchReport {
-        self.run_batch_inner(queries, deadline, None)
-    }
-
-    /// Like [`QueryService::run_batch`], but additionally honouring a
-    /// per-query deadline slice (indexed like `queries`): a query whose own
-    /// deadline has passed when a worker claims it is skipped even if the
-    /// batch-wide deadline is still open. This is the entry point the open
-    /// admission path uses — each submitted query carries the deadline its
-    /// producer attached.
-    pub fn run_batch_with_deadlines(
-        &mut self,
-        queries: &[&Graph],
-        deadline: Option<Instant>,
-        per_query: &[Option<Instant>],
-    ) -> BatchReport {
-        self.run_batch_inner(queries, deadline, Some(per_query))
-    }
-
-    fn run_batch_inner(
-        &mut self,
-        queries: &[&Graph],
-        deadline: Option<Instant>,
-        per_query: Option<&[Option<Instant>]>,
-    ) -> BatchReport {
-        let store = self.features.as_ref().map(|f| f as &dyn FeatureCacheStore);
-        let Some(memo) = &self.answers else {
-            return run_batch_on(
-                self.index,
-                self.dataset,
-                &mut self.arenas,
-                queries,
-                deadline,
-                per_query,
-                None,
-                store,
-            );
-        };
-
-        // Admission-time memo probe: a hit never reaches the worker pool.
-        // A query whose deadline already passed is not probed — it goes to
-        // the pool, which reports it `TimedOut` exactly like the uncached
-        // path would (a memo must never change outcome semantics).
         let watch = Stopwatch::start();
-        let expired = |i: usize| {
-            let now = Instant::now();
-            deadline.is_some_and(|d| now >= d)
-                || per_query.and_then(|p| p[i]).is_some_and(|d| now >= d)
-        };
-        let mut keys: Vec<Option<String>> = Vec::with_capacity(queries.len());
-        let mut hits: Vec<Option<(Arc<AnswerEntry>, f64)>> = Vec::with_capacity(queries.len());
-        let mut miss_indexes: Vec<usize> = Vec::new();
-        for (i, query) in queries.iter().enumerate() {
-            let key = if expired(i) {
-                None
-            } else {
-                answer_memo_key(query)
-            };
-            let probe = Stopwatch::start();
-            match key.as_deref().and_then(|k| memo.lookup(k)) {
-                Some(entry) => hits.push(Some((entry, probe.elapsed_secs()))),
-                None => {
-                    hits.push(None);
-                    miss_indexes.push(i);
-                }
-            }
-            keys.push(key);
-        }
-
-        // Run the misses as a sub-batch on the pool (preserving relative
-        // batch order), then merge hits and misses back by batch index.
-        let sub_queries: Vec<&Graph> = miss_indexes.iter().map(|&i| queries[i]).collect();
-        let sub_deadlines: Option<Vec<Option<Instant>>> =
-            per_query.map(|p| miss_indexes.iter().map(|&i| p[i]).collect());
+        let admission = self.caches.admit(queries, |_| deadline);
+        let misses: Vec<&Graph> = admission.misses.iter().map(|&i| queries[i]).collect();
         let mut sub = run_batch_on(
             self.index,
             self.dataset,
             &mut self.arenas,
-            &sub_queries,
+            &misses,
             deadline,
-            sub_deadlines.as_deref(),
             None,
-            store,
+            None,
+            self.caches.feature_store(),
         );
 
         let mut records: Vec<Option<QueryRecord>> = Vec::new();
         records.resize_with(queries.len(), || None);
         let mut outcomes = vec![QueryOutcome::Failed; queries.len()];
         let mut totals = sub.totals;
-        for (i, hit) in hits.into_iter().enumerate() {
-            if let Some((entry, probe_s)) = hit {
-                totals.add_query(0.0, probe_s, 0.0, 0.0, entry.candidates_pruned);
-                totals.observe_latency(probe_s);
-                records[i] = Some(QueryRecord {
-                    candidate_count: entry.candidate_count,
-                    candidates_pruned: entry.candidates_pruned,
-                    answers: entry.answers.clone(),
-                    queue_wait_s: 0.0,
-                    cache_probe_s: probe_s,
-                    filter_s: 0.0,
-                    verify_s: 0.0,
-                });
-                outcomes[i] = QueryOutcome::Complete;
-            }
+        for (i, entry, probe_s) in &admission.hits {
+            totals.add_query(0.0, *probe_s, 0.0, 0.0, entry.candidates_pruned);
+            totals.observe_latency(*probe_s);
+            records[*i] = Some(QueryRecord {
+                candidate_count: entry.candidate_count,
+                candidates_pruned: entry.candidates_pruned,
+                answers: entry.answers.clone(),
+                queue_wait_s: 0.0,
+                cache_probe_s: *probe_s,
+                filter_s: 0.0,
+                verify_s: 0.0,
+            });
+            outcomes[*i] = QueryOutcome::Complete;
         }
-        for (sub_idx, &i) in miss_indexes.iter().enumerate() {
-            // Only complete results are memoized — a degraded or partial
-            // answer set must never be served as complete later.
-            if matches!(sub.outcomes[sub_idx], QueryOutcome::Complete) {
-                if let (Some(key), Some(record)) = (&keys[i], &sub.records[sub_idx]) {
-                    memo.insert(
-                        key.clone(),
-                        AnswerEntry {
-                            answers: record.answers.clone(),
-                            candidate_count: record.candidate_count,
-                            candidates_pruned: record.candidates_pruned,
-                        },
-                    );
-                }
+        for (sub_idx, &i) in admission.misses.iter().enumerate() {
+            if let Some(r) = &sub.records[sub_idx] {
+                admission.settle(
+                    i,
+                    sub.outcomes[sub_idx],
+                    &r.answers,
+                    r.candidate_count,
+                    r.candidates_pruned,
+                );
             }
             records[i] = sub.records[sub_idx].take();
             outcomes[i] = sub.outcomes[sub_idx];
@@ -678,12 +573,21 @@ mod tests {
         let (ds, queries) = setup(12);
         let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(2));
+        let mut arenas: Vec<WorkerArena> = (0..2).map(|_| WorkerArena::default()).collect();
         let past = Instant::now() - Duration::from_secs(1);
         let mut per_query: Vec<Option<Instant>> = vec![None; refs.len()];
         per_query[1] = Some(past);
         per_query[4] = Some(past);
-        let report = service.run_batch_with_deadlines(&refs, None, &per_query);
+        let report = run_batch_on(
+            &*index,
+            &ds,
+            &mut arenas,
+            &refs,
+            None,
+            Some(&per_query),
+            None,
+            None,
+        );
         assert!(report.timed_out());
         assert_eq!(report.executed(), refs.len() - 2);
         for (i, record) in report.records.iter().enumerate() {
@@ -818,49 +722,57 @@ mod tests {
         }
     }
 
-    /// Tentpole: the answer memo serves a repeated batch entirely from the
-    /// memo — zero filter/verify work — with bit-identical answers.
+    /// The deadline predicate is strict: exactly at the deadline a query is
+    /// still in time, for the memo probe and for the pool's claim alike.
     #[test]
-    fn answer_memo_serves_repeat_batches_identically() {
+    fn past_is_strict_at_the_deadline() {
+        let d = Instant::now();
+        let tick = Duration::from_nanos(1);
+        assert!(!past(None, d));
+        assert!(!past(Some(d), d), "exactly at the deadline is in time");
+        assert!(!past(Some(d + tick), d));
+        assert!(past(Some(d), d + tick));
+    }
+
+    /// One admission core under both services: the same warm wave through
+    /// `QueryService` and a 1-shard fan-out `ShardedService` gives the same
+    /// answers and the same memo traffic; a hit does no filter or verify
+    /// work and reaches no shard; invalidation makes the next wave miss.
+    #[test]
+    fn warm_wave_is_identical_through_both_services() {
         let (ds, queries) = setup(16);
-        let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(
-            &*index,
-            &ds,
-            ServiceOptions::new().workers(2).cache(CachePolicy {
-                feature_capacity: 0,
-                answer_capacity: 64,
-            }),
-        );
-        let first = service.run_batch(&refs, None);
-        let eligible = queries
-            .iter()
-            .filter(|q| answer_memo_key(q).is_some())
-            .count();
-        assert!(eligible > 0, "workload must contain memo-eligible queries");
-        let second = service.run_batch(&refs, None);
-        assert_eq!(second.executed(), refs.len());
-        for (i, (a, b)) in first.records.iter().zip(second.records.iter()).enumerate() {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.answers, b.answers, "memo answers diverged on query {i}");
-            assert_eq!(a.candidate_count, b.candidate_count);
+        let config = MethodConfig::fast();
+        let opts = ServiceOptions::new().cache(CachePolicy::enabled());
+        let index = build_index(MethodKind::Ggsx, &config, &ds);
+        let mut single = QueryService::new(&*index, &ds, opts.clone());
+        let mut sharded = ShardedService::new(MethodKind::Ggsx, &config, &ds, opts);
+        assert_eq!(sharded.shard_count(), 1);
+        single.run_batch(&refs, None);
+        sharded.run_wave(&refs, None);
+        let warm_single = single.run_batch(&refs, None);
+        let warm_sharded = sharded.run_wave(&refs, None);
+        let mut eligible = 0u64;
+        for (i, query) in queries.iter().enumerate() {
+            let a = warm_single.records[i].as_ref().expect("executed");
+            let b = &warm_sharded.records[i];
+            assert_eq!(a.answers, b.answers, "query {i}");
+            assert_eq!(a.answers, index.query(&ds, query).answers, "query {i}");
+            let memo_served = answer_memo_key(query).is_some();
+            eligible += memo_served as u64;
+            assert_eq!(a.filter_s + a.verify_s == 0.0, memo_served, "query {i}");
+            assert_eq!(b.shards_probed, usize::from(!memo_served), "query {i}");
         }
-        let counters = service.cache_counters();
-        assert_eq!(counters.answer_hits, eligible as u64);
-        // Memo-served queries do no filter or verify work.
-        let hit_records: Vec<&QueryRecord> = second
-            .records
-            .iter()
-            .flatten()
-            .filter(|r| r.filter_s == 0.0 && r.verify_s == 0.0)
-            .collect();
-        assert_eq!(hit_records.len(), eligible);
-        // Invalidation drops every entry: the next batch misses again.
-        service.invalidate_caches();
-        let third = service.run_batch(&refs, None);
-        assert_eq!(third.executed(), refs.len());
-        assert_eq!(service.cache_counters().answer_hits, eligible as u64);
+        assert!(eligible > 0, "workload must contain memo-eligible queries");
+        let (s, w) = (single.cache_counters(), sharded.cache_counters());
+        assert_eq!(s.answer_hits, eligible);
+        assert_eq!(
+            (s.answer_hits, s.answer_misses),
+            (w.answer_hits, w.answer_misses)
+        );
+        single.invalidate_caches();
+        assert_eq!(single.run_batch(&refs, None).executed(), refs.len());
+        assert_eq!(single.cache_counters().answer_hits, eligible);
     }
 
     #[test]

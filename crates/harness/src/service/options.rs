@@ -1,13 +1,9 @@
 //! The unified, layered service configuration surface.
 //!
-//! Before this module the serving stack had three parallel config surfaces
-//! that each grew their own `with_*` chain — `RunOptions` (runner),
-//! `ServiceConfig` (worker pool) and `ShardedConfig` (sharded service) —
-//! and every new knob had to be threaded through all three.
-//! [`ServiceOptions`] collapses them: one builder describes a whole
-//! service, and every layer reads the part it cares about. The legacy
-//! types survive as deprecated `From` shims so existing callers keep
-//! compiling.
+//! One builder describes a whole service — unsharded or sharded, with or
+//! without an admission queue in front — and every layer reads the part it
+//! cares about. There is no other config type: the runner's `RunOptions`
+//! embeds a [`ServiceOptions`] rather than mirroring its fields.
 //!
 //! ```
 //! use sqbench_harness::service::{CachePolicy, RoutingMode, ServiceOptions, ShardStrategy};
@@ -32,8 +28,7 @@ use std::sync::Arc;
 /// `impl Into<ServiceOptions>`): [`super::QueryService::new`] reads
 /// `workers` and `cache`, [`super::sharded::ShardedService::new`] reads
 /// all of it, [`super::admission::AdmissionQueue::new`] reads
-/// `queue_capacity` and `faults`. Cache knobs live **only** here — they
-/// were deliberately never added to the legacy surfaces.
+/// `queue_capacity` and `faults`.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
     /// Worker threads per pool (per shard when sharded). Clamped to ≥ 1.
@@ -145,27 +140,6 @@ impl ServiceOptions {
     }
 }
 
-#[allow(deprecated)]
-impl From<super::ServiceConfig> for ServiceOptions {
-    fn from(config: super::ServiceConfig) -> Self {
-        ServiceOptions::new().workers(config.workers)
-    }
-}
-
-#[allow(deprecated)]
-impl From<super::sharded::ShardedConfig> for ServiceOptions {
-    fn from(config: super::sharded::ShardedConfig) -> Self {
-        let mut opts = ServiceOptions::new()
-            .workers(config.workers_per_shard)
-            .shards(config.shards)
-            .strategy(config.strategy)
-            .routing(config.routing)
-            .retry(config.retry);
-        opts.faults = config.faults;
-        opts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,27 +176,5 @@ mod tests {
         let scaled = ServiceOptions::new().workers(2).workers_max(8);
         assert_eq!(scaled.workers_max, 8);
         assert_eq!(ServiceOptions::new().workers_max(0).workers_max, 1);
-    }
-
-    /// The legacy config types convert losslessly — the delegating shims
-    /// depend on it.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_configs_convert() {
-        let from_service: ServiceOptions = super::super::ServiceConfig::with_workers(3).into();
-        assert_eq!(from_service.workers, 3);
-        assert_eq!(from_service.shards, 1);
-
-        let from_sharded: ServiceOptions = super::super::sharded::ShardedConfig::with_shards(4)
-            .workers_per_shard(2)
-            .routing(RoutingMode::Synopsis)
-            .into();
-        assert_eq!(from_sharded.shards, 4);
-        assert_eq!(from_sharded.workers, 2);
-        assert_eq!(from_sharded.routing, RoutingMode::Synopsis);
-        assert!(
-            from_sharded.cache.is_disabled(),
-            "cache knobs are new-surface-only"
-        );
     }
 }

@@ -8,6 +8,7 @@
 
 use super::admission::Ticket;
 use super::fault::FaultPlan;
+use super::past;
 use super::queue::{BatchQueue, StealDeque};
 use super::stages::{filter_stage, verify_stage, QueryOutcome, QueryRecord, VerifyJob};
 use sqbench_graph::{Dataset, Graph};
@@ -105,8 +106,7 @@ impl<'q> BatchShared<'q> {
     /// deadline or the query's own admission deadline has passed.
     fn past_deadline(&self, idx: usize) -> bool {
         let now = Instant::now();
-        self.deadline.is_some_and(|d| now > d)
-            || self.queue.deadline_of(idx).is_some_and(|d| now > d)
+        past(self.deadline, now) || past(self.queue.deadline_of(idx), now)
     }
 }
 

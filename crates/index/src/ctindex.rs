@@ -145,27 +145,13 @@ impl GraphIndex for CtIndex {
         }
     }
 
-    fn verify(&self, dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
-        // CT-Index's tuned matcher replaces the stock VF2 verifier.
-        candidates
-            .iter()
-            .copied()
-            .filter(|&gid| {
-                dataset
-                    .graph(gid)
-                    .map(|g| TunedMatcher::matches(query, g))
-                    .unwrap_or(false)
-            })
-            .collect()
-    }
-
     fn verify_set(
         &self,
         dataset: &Dataset,
         query: &Graph,
         candidates: &CandidateSet,
     ) -> Vec<GraphId> {
-        // Same tuned matcher, iterating the candidate bits directly.
+        // CT-Index's tuned matcher replaces the stock VF2 verifier.
         candidates
             .iter()
             .filter(|&gid| {

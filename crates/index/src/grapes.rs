@@ -108,24 +108,7 @@ impl GrapesIndex {
         &self.config
     }
 
-    /// Filtering with location information: returns the candidate ids plus,
-    /// for each candidate, the set of vertices at which query paths start —
-    /// the only places an embedding can touch.
-    fn filter_with_locations(
-        &self,
-        query: &Graph,
-    ) -> (Vec<GraphId>, BTreeMap<GraphId, BTreeSet<VertexId>>) {
-        // One path enumeration feeds both the fold and the location pass.
-        let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
-        let mut survivors = CandidateSet::empty(self.graph_count);
-        self.fold_candidates(&query_counts, &mut survivors);
-        self.tombstones.apply(&mut survivors);
-        let locations = self.locations_for(&query_counts, &survivors);
-        (survivors.to_sorted_vec(), locations)
-    }
-
-    /// The count-pruning fold over already-enumerated query path counts
-    /// (shared by `filter_into` and `filter_with_locations`).
+    /// The count-pruning fold over already-enumerated query path counts.
     fn fold_candidates(&self, query_counts: &BTreeMap<Vec<Label>, u32>, out: &mut CandidateSet) {
         // Rarest-first fold, mirroring GGSX: every path payload is looked
         // up once (a miss prunes everything immediately) and the hits are
@@ -249,9 +232,9 @@ impl GraphIndex for GrapesIndex {
 
     fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
         // Same count-pruning fold as GGSX (identical trie contents); the
-        // location information is *not* computed here — the verification
-        // hooks recover it from the trie for the surviving candidates only,
-        // so the borrowed-set fast path stays allocation-free.
+        // location information is *not* computed here — `verify_set`
+        // recovers it from the trie for the surviving candidates only, so
+        // the borrowed-set fast path stays allocation-free.
         let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
         self.fold_candidates(&query_counts, out);
         self.tombstones.apply(out);
@@ -280,14 +263,12 @@ impl GraphIndex for GrapesIndex {
         // Location-restricted verification straight off the bitset: the
         // location pass probes the trie payloads for the survivors, then
         // each candidate is verified inside the components its locations
-        // induce, spread over `config.threads` workers exactly like the
-        // one-shot `query` path (the paper runs Grapes with 6; configure
-        // `threads: 1` when an outer worker pool already saturates the
-        // machine). The query's paths are enumerated a second time here
-        // (the staged trait API hands over only the candidate bits); the
-        // one-shot `query` path avoids that via `filter_with_locations`,
-        // and the component restriction the locations buy far outweighs
-        // one extra walk of a small query.
+        // induce, spread over `config.threads` workers (the paper runs
+        // Grapes with 6; configure `threads: 1` when an outer worker pool
+        // already saturates the machine). The query's paths are enumerated
+        // a second time here (the staged trait API hands over only the
+        // candidate bits); the component restriction the locations buy far
+        // outweighs one extra walk of a small query.
         let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
         let locations = self.locations_for(&query_counts, candidates);
         let matcher = Vf2Matcher::new(query);
@@ -336,34 +317,6 @@ impl GraphIndex for GrapesIndex {
         IndexStats {
             distinct_features: self.trie.distinct_paths(),
             size_bytes: self.trie.memory_bytes(),
-        }
-    }
-
-    fn verify(&self, dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
-        // Direct verification (no location info available for an externally
-        // provided candidate list): parallel whole-graph VF2, one reusable
-        // match state per worker.
-        let matcher = Vf2Matcher::new(query);
-        parallel_retain(candidates, self.config.threads, |state, gid| {
-            dataset
-                .graph(gid)
-                .map(|g| matcher.matches_with(state, g))
-                .unwrap_or(false)
-        })
-    }
-
-    fn query(&self, dataset: &Dataset, query: &Graph) -> crate::QueryOutcome {
-        let (candidates, locations) = self.filter_with_locations(query);
-        let matcher = Vf2Matcher::new(query);
-        let answers = parallel_retain(&candidates, self.config.threads, |state, gid| {
-            dataset
-                .graph(gid)
-                .map(|g| Self::verify_candidate(query, &matcher, state, g, locations.get(&gid)))
-                .unwrap_or(false)
-        });
-        crate::QueryOutcome {
-            candidates,
-            answers,
         }
     }
 }
@@ -501,13 +454,16 @@ mod tests {
         let ds = dataset();
         let idx = GrapesIndex::build(&ds, GrapesConfig::default());
         let q = query(&[1, 2], &[(0, 1)]);
-        let (candidates, locations) = idx.filter_with_locations(&q);
+        let mut candidates = CandidateSet::empty(0);
+        idx.filter_into(&q, &mut candidates);
         assert!(!candidates.is_empty());
-        for gid in &candidates {
-            let locs = locations.get(gid).expect("candidate has locations");
+        let counts = GgsxIndex::query_path_counts(&q, idx.config().max_path_edges);
+        let locations = idx.locations_for(&counts, &candidates);
+        for gid in candidates.iter() {
+            let locs = locations.get(&gid).expect("candidate has locations");
             assert!(!locs.is_empty());
             // Locations never exceed the graph's vertex count.
-            assert!(locs.len() <= ds.graph(*gid).unwrap().vertex_count());
+            assert!(locs.len() <= ds.graph(gid).unwrap().vertex_count());
         }
     }
 
@@ -531,22 +487,30 @@ mod tests {
         }
     }
 
+    /// Grapes has one verification path — `verify_set` — and the trait's
+    /// default `query` is `filter_into` + that. Pinned against the oracle
+    /// for the three shapes the location restriction distinguishes.
     #[test]
-    fn disconnected_query_falls_back_to_whole_graph_verification() {
+    fn verify_set_is_the_one_path_and_matches_the_oracle() {
         let ds = dataset();
         let idx = GrapesIndex::build(&ds, GrapesConfig::default());
-        let q = GraphBuilder::new("q2").vertices(&[1, 3]).build().unwrap(); // two isolated vertices, disconnected query
-        let outcome = idx.query(&ds, &q);
-        assert_eq!(outcome.answers, exhaustive_answers(&ds, &q));
-    }
-
-    #[test]
-    fn direct_verify_matches_vf2() {
-        let ds = dataset();
-        let idx = GrapesIndex::build(&ds, GrapesConfig::default());
-        let q = query(&[1, 2], &[(0, 1)]);
-        let all: Vec<GraphId> = ds.ids().collect();
-        assert_eq!(idx.verify(&ds, &q, &all), exhaustive_answers(&ds, &q));
+        let all = CandidateSet::full(ds.len());
+        let cases = [
+            // Connected; embeds in every graph that has a 1-2 edge.
+            ("connected", query(&[1, 2], &[(0, 1)])),
+            // Disconnected: in `disc` the labels 1 and 3 sit in different
+            // components, so the component restriction must not apply.
+            ("disconnected", query(&[1, 3], &[])),
+            // Connected, and its start vertices cover only {2, 3} of the
+            // four-vertex `disc` graph: verified inside that component.
+            ("partial locations", query(&[3, 3], &[(0, 1)])),
+        ];
+        for (name, q) in &cases {
+            let expected = exhaustive_answers(&ds, q);
+            assert!(expected.contains(&3), "{name}: `disc` must match");
+            assert_eq!(idx.verify_set(&ds, q, &all), expected, "{name}");
+            assert_eq!(idx.query(&ds, q).answers, expected, "{name}");
+        }
     }
 
     #[test]

@@ -185,10 +185,10 @@ pub struct IndexStats {
 /// constructor) and then answer any number of subgraph queries. Each method
 /// implements the borrowed-set filtering entry point [`GraphIndex::filter_into`]
 /// (see the module docs for the contract); `filter` and `query` are thin
-/// default wrappers over it. The default verification uses the VF2
-/// first-match verifier the paper standardizes on; Grapes and CT-Index
-/// override the verification hooks with their specialized procedures, and
-/// Tree+Δ hooks query-time feature learning into [`GraphIndex::verify_set`].
+/// default wrappers that no method overrides. The default
+/// [`GraphIndex::verify_set`] uses the VF2 first-match verifier the paper
+/// standardizes on; Grapes and CT-Index override it with their specialized
+/// procedures, and Tree+Δ hooks query-time feature learning into it.
 pub trait GraphIndex: Send + Sync {
     /// Which method this index implements.
     fn kind(&self) -> MethodKind;
@@ -268,18 +268,14 @@ pub trait GraphIndex: Send + Sync {
         self.stats().size_bytes
     }
 
-    /// Verification stage: tests `query` against each candidate with the
-    /// shared VF2 verifier (first-match semantics).
-    fn verify(&self, dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
-        vf2_verify(dataset, query, candidates)
-    }
-
-    /// Verification straight off a filtered [`CandidateSet`]: iterates the
-    /// set bits in id order without materializing them as a `Vec`. Methods
-    /// with specialized verification override this — CT-Index's tuned
-    /// matcher, Grapes' location-restricted matching, Tree+Δ's query-time Δ
-    /// learning — so a batch service driving `filter_into` + `verify_set`
-    /// preserves each method's published query semantics.
+    /// Verification stage, straight off a filtered [`CandidateSet`]: tests
+    /// `query` against each set bit in id order with the shared VF2 verifier
+    /// (first-match semantics), without materializing the candidates as a
+    /// `Vec`. This is the one verify entry point; methods with specialized
+    /// verification override it — CT-Index's tuned matcher, Grapes'
+    /// location-restricted matching, Tree+Δ's query-time Δ learning — so
+    /// every caller of `filter_into` + `verify_set` gets each method's
+    /// published query semantics.
     fn verify_set(
         &self,
         dataset: &Dataset,
@@ -372,20 +368,7 @@ fn verify_blocks<'d>(
 /// clone) and the search scratch is a per-thread [`MatchState`] reused
 /// across candidates *and* across queries served by the same worker thread.
 pub fn vf2_verify(dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
-    let matcher = Vf2Matcher::new(query);
-    VERIFY_STATE.with(|cell| {
-        let state = &mut *cell.borrow_mut();
-        let mut answers = Vec::new();
-        verify_blocks(
-            dataset,
-            &matcher,
-            state,
-            query.vertex_count(),
-            candidates.iter().copied(),
-            &mut answers,
-        );
-        answers
-    })
+    vf2_verify_ids(dataset, query, candidates.iter().copied())
 }
 
 /// Shared VF2 verification over a candidate bitset: keeps the member ids
@@ -393,6 +376,14 @@ pub fn vf2_verify(dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> V
 /// materializing the candidate set as a `Vec`. Same matcher/scratch reuse as
 /// [`vf2_verify`] (per-thread [`MatchState`], query borrowed once).
 pub fn vf2_verify_set(dataset: &Dataset, query: &Graph, candidates: &CandidateSet) -> Vec<GraphId> {
+    vf2_verify_ids(dataset, query, candidates.iter())
+}
+
+fn vf2_verify_ids(
+    dataset: &Dataset,
+    query: &Graph,
+    candidates: impl Iterator<Item = GraphId>,
+) -> Vec<GraphId> {
     let matcher = Vf2Matcher::new(query);
     VERIFY_STATE.with(|cell| {
         let state = &mut *cell.borrow_mut();
@@ -402,7 +393,7 @@ pub fn vf2_verify_set(dataset: &Dataset, query: &Graph, candidates: &CandidateSe
             &matcher,
             state,
             query.vertex_count(),
-            candidates.iter(),
+            candidates,
             &mut answers,
         );
         answers

@@ -20,7 +20,7 @@
 use crate::candidates::{ArenaFold, CandidateSet, PostingList, Tombstones};
 use crate::config::TreeDeltaConfig;
 use crate::fcache::FilterCacheCtx;
-use crate::{GraphIndex, IndexStats, MethodKind};
+use crate::{vf2_verify, GraphIndex, IndexStats, MethodKind};
 use sqbench_features::canonical::FeatureKey;
 use sqbench_features::cycles::enumerate_cycle_instances;
 use sqbench_features::mining::{FeatureKind, MinedFeatures, MiningConfig};
@@ -447,7 +447,7 @@ impl GraphIndex for TreeDeltaIndex {
         // the candidates as a sorted id list — the one place Tree+Δ still
         // materializes one, inherent to the published algorithm.
         let narrowed = self.learn_delta(dataset, query, candidates.to_sorted_vec());
-        self.verify(dataset, query, &narrowed)
+        vf2_verify(dataset, query, &narrowed)
     }
 }
 

@@ -1,17 +1,13 @@
 //! Property tests for the raw-speed hot-loop kernels — the `hotloop-proptest`
 //! tier-1 CI step.
 //!
-//! Three invariant families:
+//! Two invariant families:
 //!
 //! 1. **Wide ≡ scalar kernels.** The 4×u64 unrolled intersection/union
 //!    loops and the fused tombstone mask must be bit-identical to the
 //!    one-word scalar reference on arbitrary sets — including the dead-id
 //!    interaction: a tombstoned id must never resurface through any kernel.
-//! 2. **Ordered VF2 ≡ unordered VF2.** The rarity/degree static matching
-//!    order is a search-order change only: for every method's candidate
-//!    set, verification under [`OrderPolicy::RarityDegree`] and
-//!    [`OrderPolicy::PlacedNeighbors`] must keep exactly the same graphs.
-//! 3. **Posting order survives ingest.** The frequency-ordered filter folds
+//! 2. **Posting order survives ingest.** The frequency-ordered filter folds
 //!    assume strictly ascending posting lists; arbitrary insert/remove
 //!    interleavings (append-max inserts, lazily compacted removals) must
 //!    preserve that, and the mutated index must keep answering exactly like
@@ -22,8 +18,7 @@ use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_index::gindex::GIndex;
 use sqbench_index::treedelta::TreeDeltaIndex;
-use sqbench_index::{build_index, CandidateSet, GraphIndex, MethodConfig, MethodKind, Tombstones};
-use sqbench_iso::{MatchState, OrderPolicy, Vf2Matcher};
+use sqbench_index::{CandidateSet, GraphIndex, MethodConfig, Tombstones};
 
 fn dataset_from_seed(seed: u64, graphs: usize) -> Dataset {
     GraphGen::new(
@@ -105,41 +100,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// For every method: verifying the method's own candidate set under the
-    /// rarity/degree order keeps exactly the graphs the legacy order keeps.
-    #[test]
-    fn ordered_vf2_answers_equal_unordered_for_all_methods(seed in 0u64..300) {
-        let ds = dataset_from_seed(seed, 12);
-        let config = MethodConfig::fast();
-        let queries = QueryGen::new(seed ^ 0x000b_dea1).generate(&ds, 3, 4);
-        for (kind, index) in MethodKind::ALL
-            .iter()
-            .map(|&kind| (kind, build_index(kind, &config, &ds)))
-        {
-            for (query, _) in queries.iter() {
-                let mut candidates = CandidateSet::empty(index.universe());
-                index.filter_into(query, &mut candidates);
-                let by_order = |policy: OrderPolicy| -> Vec<GraphId> {
-                    let matcher = Vf2Matcher::with_order(query, policy);
-                    let mut state = MatchState::new();
-                    candidates
-                        .iter()
-                        .filter(|&gid| {
-                            ds.graph(gid)
-                                .map(|g| matcher.matches_with(&mut state, g))
-                                .unwrap_or(false)
-                        })
-                        .collect()
-                };
-                prop_assert_eq!(
-                    by_order(OrderPolicy::RarityDegree),
-                    by_order(OrderPolicy::PlacedNeighbors),
-                    "matching order changed {}'s answers", kind.name()
-                );
-            }
-        }
-    }
 
     /// Posting lists stay strictly ascending through arbitrary
     /// insert/remove interleavings, and the mutated index answers exactly

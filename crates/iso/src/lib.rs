@@ -27,5 +27,5 @@ pub mod vf2;
 pub use tuned::TunedMatcher;
 pub use vf2::{
     count_embeddings, find_first_embedding, has_subgraph_embedding, MatchState, MatchStats,
-    OrderPolicy, Vf2Matcher,
+    Vf2Matcher,
 };

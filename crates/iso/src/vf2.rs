@@ -22,8 +22,7 @@
 //! allocates nothing. The search itself walks target adjacency slices
 //! directly instead of materializing per-depth candidate vectors.
 
-use sqbench_graph::{Graph, Label, VertexId};
-use std::collections::HashMap;
+use sqbench_graph::{Graph, VertexId};
 
 /// Statistics of one matching run, useful for harness instrumentation and
 /// for tests that assert pruning actually happens.
@@ -69,20 +68,6 @@ impl MatchState {
     }
 }
 
-/// Which static matching order a [`Vf2Matcher`] pre-computes — the A/B axis
-/// of the ordered-VF2 microbenchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderPolicy {
-    /// The tuned matcher's recipe made query-only: prefix-connected first,
-    /// then rarest query label, then descending degree. The default — all
-    /// methods' generic verification cuts backtracking with it.
-    #[default]
-    RarityDegree,
-    /// The legacy greedy order (most placed neighbors, then degree). Kept
-    /// for the kernel A/B bench and the order-equivalence proptests.
-    PlacedNeighbors,
-}
-
 /// A reusable VF2 matcher bound to a query graph. Borrows the query and
 /// pre-computes the matching order of its vertices once, so repeated
 /// verification of the same query against many candidate graphs (the common
@@ -95,22 +80,13 @@ pub struct Vf2Matcher<'q> {
 }
 
 impl<'q> Vf2Matcher<'q> {
-    /// Builds a matcher for the given query graph (borrow, no clone), using
-    /// the default rarity/degree order.
+    /// Builds a matcher for the given query graph (borrow, no clone) and
+    /// pre-computes its connectivity-aware matching order.
     pub fn new(query: &'q Graph) -> Self {
-        Self::with_order(query, OrderPolicy::default())
-    }
-
-    /// Builds a matcher with an explicit order policy. Any valid total
-    /// order over the query vertices yields the same match verdicts and
-    /// embedding sets — the policy only changes how much backtracking the
-    /// search does to reach them.
-    pub fn with_order(query: &'q Graph, policy: OrderPolicy) -> Self {
-        let order = match policy {
-            OrderPolicy::RarityDegree => rarity_degree_order(query),
-            OrderPolicy::PlacedNeighbors => matching_order(query),
-        };
-        Vf2Matcher { query, order }
+        Vf2Matcher {
+            query,
+            order: matching_order(query),
+        }
     }
 
     /// The query graph this matcher was built for.
@@ -251,58 +227,6 @@ enum CollectMode {
 /// Placed-neighbor counts are maintained incrementally (the seed
 /// implementation re-counted neighbors per candidate per round), and the
 /// only allocations are the returned order and one scratch counter vector.
-/// The tuned matcher's ordering recipe ([`crate::tuned`]) restated without
-/// the target: prefer vertices adjacent to the ordered prefix; among those,
-/// pick the one whose label is rarest *within the query* (the query-only
-/// stand-in for target-label rarity — a label that occurs once in the query
-/// pins the search to few target candidates just as a target-rare label
-/// does), breaking ties by descending degree, then smallest id. Being
-/// target-independent, the order is computed once per query and reused
-/// across every candidate graph.
-fn rarity_degree_order(query: &Graph) -> Vec<VertexId> {
-    let n = query.vertex_count();
-    let mut label_freq: HashMap<Label, usize> = HashMap::new();
-    for v in 0..n {
-        *label_freq.entry(query.label(v)).or_insert(0) += 1;
-    }
-    let rarity = |v: VertexId| label_freq.get(&query.label(v)).copied().unwrap_or(0);
-    let mut order = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    // Greedy key, greater wins: most placed neighbors first (each placed
-    // neighbor is one adjacency constraint pruning the candidate targets —
-    // keeping this primary is what the legacy order got right), then the
-    // highest degree, then the rarest query label. Rarity ahead of degree
-    // was measured slower on uniform-label targets (query-side rarity is a
-    // weak proxy for target rarity there), so it settles degree ties only.
-    let key = |v: VertexId, placed: &[bool]| {
-        (
-            query.neighbors(v).iter().filter(|&&w| placed[w]).count(),
-            query.degree(v),
-            std::cmp::Reverse(rarity(v)),
-            std::cmp::Reverse(v),
-        )
-    };
-    for _ in 0..n {
-        let mut best: Option<VertexId> = None;
-        for v in 0..n {
-            if placed[v] {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => key(v, &placed) > key(b, &placed),
-            };
-            if better {
-                best = Some(v);
-            }
-        }
-        let v = best.expect("unplaced vertex exists");
-        placed[v] = true;
-        order.push(v);
-    }
-    order
-}
-
 fn matching_order(query: &Graph) -> Vec<VertexId> {
     let n = query.vertex_count();
     let mut order = Vec::with_capacity(n);
@@ -665,64 +589,6 @@ mod tests {
         let mut state = MatchState::new();
         assert!(matcher.matches_with(&mut state, &t));
         assert!(matcher.matches_with(&mut state, &t));
-    }
-
-    #[test]
-    fn rarity_degree_order_starts_at_the_rarest_label() {
-        // Vertex 3 carries the only occurrence of label 9; everything else is
-        // label 1. The rarity-first order must open with it, and every later
-        // vertex must be connected to the placed prefix (the graph is a path,
-        // so a connected extension always exists).
-        let g = GraphBuilder::new("rare")
-            .vertices(&[1, 1, 1, 9, 1])
-            .edges(&[(0, 1), (1, 2), (2, 3), (3, 4)])
-            .build()
-            .unwrap();
-        let order = rarity_degree_order(&g);
-        assert_eq!(order[0], 3);
-        assert_eq!(order.len(), 5);
-        let mut placed = [false; 5];
-        placed[order[0]] = true;
-        for &v in &order[1..] {
-            assert!(
-                g.neighbors(v).iter().any(|&w| placed[w]),
-                "vertex {v} extends the placed prefix"
-            );
-            placed[v] = true;
-        }
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn order_policies_agree_on_match_verdicts() {
-        let queries = [path(&[1, 2, 1]), triangle([1, 2, 3]), path(&[2, 2])];
-        let targets = [
-            path(&[1, 2, 1, 2, 1]),
-            triangle([1, 2, 3]),
-            triangle([2, 2, 2]),
-            path(&[3, 3, 3]),
-        ];
-        for q in &queries {
-            let rarity = Vf2Matcher::with_order(q, OrderPolicy::RarityDegree);
-            let legacy = Vf2Matcher::with_order(q, OrderPolicy::PlacedNeighbors);
-            let default = Vf2Matcher::new(q);
-            for t in &targets {
-                let verdict = legacy.matches(t);
-                assert_eq!(rarity.matches(t), verdict);
-                assert_eq!(default.matches(t), verdict);
-                // Full enumeration yields the same embedding *set* regardless
-                // of the visit order.
-                let mut s1 = MatchStats::default();
-                let mut s2 = MatchStats::default();
-                let mut e1 = rarity.find_with_limit(t, 1000, &mut s1);
-                let mut e2 = legacy.find_with_limit(t, 1000, &mut s2);
-                e1.sort();
-                e2.sort();
-                assert_eq!(e1, e2);
-            }
-        }
     }
 
     #[test]
