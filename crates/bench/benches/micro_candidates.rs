@@ -1,16 +1,14 @@
-//! Micro-benchmark of the candidate-set engine: the seed's sorted-`Vec`
-//! pairwise intersection versus the bitset fold that now powers every
-//! method's filtering stage, across dataset scales (1k / 10k / 100k graphs).
+//! Micro-benchmark of the candidate-set engine: the sorted-`Vec` pairwise
+//! intersection kept as the reference versus the arena bitset fold every
+//! method's filtering stage runs on, across dataset scales (1k / 10k / 100k
+//! graphs).
 //!
 //! Each scale builds eight posting lists of decreasing density (the shape a
 //! multi-feature query produces: the first features are common, later ones
-//! rarer) and measures one full filtering fold. A skewed two-list case
-//! additionally compares the linear merge against the galloping
-//! intersection.
+//! rarer) and measures one full filtering fold.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqbench_index::candidates::{intersect_posting, CandidateFold};
-use sqbench_index::intersect_sorted;
+use sqbench_index::{intersect_sorted, ArenaFold, CandidateSet};
 
 /// Posting lists mimicking a query with `k` features over `universe`
 /// graphs: list `i` keeps every `(i + 2)`-nd id with a small offset, so the
@@ -26,7 +24,7 @@ fn feature_posting_lists(universe: usize, k: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// The seed's engine: fold the lists with pairwise sorted-`Vec` merges,
+/// The reference: fold the lists with pairwise sorted-`Vec` merges,
 /// allocating an intermediate `Vec` per feature.
 fn fold_sorted_vec(lists: &[Vec<usize>]) -> Vec<usize> {
     let mut current: Option<Vec<usize>> = None;
@@ -39,16 +37,17 @@ fn fold_sorted_vec(lists: &[Vec<usize>]) -> Vec<usize> {
     current.unwrap_or_default()
 }
 
-/// The new engine: one bitset narrowed in place per feature, materialized
-/// once at the end.
-fn fold_bitset(universe: usize, lists: &[Vec<usize>]) -> Vec<usize> {
-    let mut fold = CandidateFold::new(universe);
+/// The served engine: one worker-owned arena bitset narrowed in place per
+/// feature, materialized once at the end.
+fn fold_bitset(arena: &mut CandidateSet, universe: usize, lists: &[Vec<usize>]) -> Vec<usize> {
+    let mut fold = ArenaFold::new(arena, universe);
     for list in lists {
         if !fold.apply_sorted(list.iter().copied()) {
-            break;
+            return Vec::new();
         }
     }
-    fold.into_sorted_vec()
+    fold.finish();
+    arena.to_sorted_vec()
 }
 
 fn bench_candidates(c: &mut Criterion) {
@@ -60,42 +59,22 @@ fn bench_candidates(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     for &universe in &scales {
         let lists = feature_posting_lists(universe, 8);
+        let mut arena = CandidateSet::empty(universe);
         // Sanity: both engines agree before we time them.
-        assert_eq!(fold_sorted_vec(&lists), fold_bitset(universe, &lists));
+        assert_eq!(
+            fold_sorted_vec(&lists),
+            fold_bitset(&mut arena, universe, &lists)
+        );
         group.bench_with_input(
             BenchmarkId::new("sorted_vec", universe),
             &lists,
             |b, lists| b.iter(|| fold_sorted_vec(lists)),
         );
         group.bench_with_input(BenchmarkId::new("bitset", universe), &lists, |b, lists| {
-            b.iter(|| fold_bitset(universe, lists))
+            b.iter(|| fold_bitset(&mut arena, universe, lists))
         });
     }
     group.finish();
-
-    let mut skewed = c.benchmark_group("micro_skewed_pair");
-    skewed.sample_size(20);
-    skewed.warm_up_time(std::time::Duration::from_millis(500));
-    skewed.measurement_time(std::time::Duration::from_secs(2));
-    for &universe in &scales {
-        let rare: Vec<usize> = (0..universe).step_by(universe / 64).collect();
-        let common: Vec<usize> = (0..universe).step_by(2).collect();
-        assert_eq!(
-            intersect_posting(&rare, &common),
-            intersect_sorted(&rare, &common)
-        );
-        skewed.bench_with_input(
-            BenchmarkId::new("merge", universe),
-            &(&rare, &common),
-            |b, (rare, common)| b.iter(|| intersect_sorted(rare, common)),
-        );
-        skewed.bench_with_input(
-            BenchmarkId::new("galloping", universe),
-            &(&rare, &common),
-            |b, (rare, common)| b.iter(|| intersect_posting(rare, common)),
-        );
-    }
-    skewed.finish();
 
     // Speedup summary straight from the recorded medians, so the BENCH json
     // and stdout both carry the comparison the acceptance criterion asks

@@ -4,17 +4,14 @@
 //! * `hotloop_intersect` — the 4×u64 wide intersection/mask kernels of
 //!   [`CandidateSet`] vs the one-word-at-a-time scalar loops they replaced
 //!   (kept as `*_scalar` for exactly this comparison);
-//! * `hotloop_posting_order` — a multi-feature posting fold applied
-//!   rarest-feature-first (what every method's `filter_into` now does) vs
-//!   the unordered arrival-order fold;
+//! * `hotloop_posting_order` — a multi-feature posting fold through the
+//!   served [`ArenaFold`], applied rarest-feature-first (what the shared
+//!   fold behind every posting method's `filter_into` does) vs in arrival
+//!   order;
 //! * `hotloop_routing` — sharded waves under fingerprint-sharpened routing
 //!   ([`RoutingMode::SynopsisFingerprint`]) vs the bound checks alone
 //!   ([`RoutingMode::Synopsis`]), on a workload whose decoy shards
 //!   the bounds admit but the path-fingerprint content refutes.
-//!
-//! A fourth group, `gallop_crossover`, measures where galloping intersection
-//! overtakes the linear merge across size-skew ratios — the measurement
-//! behind [`sqbench_index::candidates::GALLOP_CROSSOVER`].
 //!
 //! Every axis asserts its correctness gate **before** timing: both sides of
 //! each A/B pair must produce identical results. The committed
@@ -23,10 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_graph::{Dataset, Graph, GraphBuilder, GraphId};
 use sqbench_harness::service::{RoutingMode, ServiceOptions, ShardedService};
-use sqbench_index::candidates::{
-    intersect_gallop, intersect_posting, CandidateSet, Tombstones, GALLOP_CROSSOVER,
-};
-use sqbench_index::{intersect_sorted, MethodConfig, MethodKind};
+use sqbench_index::{ArenaFold, CandidateSet, MethodConfig, MethodKind, Tombstones};
 
 // ---------------------------------------------------------------- intersect
 
@@ -80,15 +74,17 @@ fn posting_fixture() -> Vec<Vec<GraphId>> {
         .collect()
 }
 
-fn fold_postings(lists: &[&Vec<GraphId>]) -> Vec<GraphId> {
-    let mut acc: Vec<GraphId> = lists[0].clone();
-    for list in &lists[1..] {
-        if acc.is_empty() {
-            break;
+/// One filter fold the way a worker runs it: its arena reset, the lists
+/// streamed in the order given, short-circuit on empty.
+fn fold_postings(arena: &mut CandidateSet, lists: &[&Vec<GraphId>]) -> usize {
+    let mut fold = ArenaFold::new(arena, POSTING_UNIVERSE);
+    for list in lists {
+        if !fold.apply_sorted(list.iter().copied()) {
+            return 0;
         }
-        acc = intersect_posting(&acc, list);
     }
-    acc
+    fold.finish();
+    arena.len()
 }
 
 // ------------------------------------------------------------------ routing
@@ -220,11 +216,13 @@ fn bench_hotloops(c: &mut Criterion) {
     let arrival: Vec<&Vec<GraphId>> = lists.iter().collect();
     let mut rarest_first = arrival.clone();
     rarest_first.sort_by_key(|l| l.len());
-    assert_eq!(
-        fold_postings(&arrival),
-        fold_postings(&rarest_first),
-        "posting order changed the fold result"
-    );
+    let mut arena = CandidateSet::empty(POSTING_UNIVERSE);
+    let arrival_bits = {
+        fold_postings(&mut arena, &arrival);
+        arena.clone()
+    };
+    fold_postings(&mut arena, &rarest_first);
+    assert_eq!(arena, arrival_bits, "posting order changed the fold result");
     let mut group = c.benchmark_group("hotloop_posting_order");
     group.sample_size(20);
     group.warm_up_time(std::time::Duration::from_millis(500));
@@ -232,12 +230,12 @@ fn bench_hotloops(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("arrival", POSTING_UNIVERSE),
         &arrival,
-        |b, lists| b.iter(|| fold_postings(lists)),
+        |b, lists| b.iter(|| fold_postings(&mut arena, lists)),
     );
     group.bench_with_input(
         BenchmarkId::new("rarest_first", POSTING_UNIVERSE),
         &rarest_first,
-        |b, lists| b.iter(|| fold_postings(lists)),
+        |b, lists| b.iter(|| fold_postings(&mut arena, lists)),
     );
     group.finish();
 
@@ -304,31 +302,6 @@ fn bench_hotloops(c: &mut Criterion) {
     );
     group.finish();
 
-    // ---- Gallop crossover measurement (the GALLOP_CROSSOVER constant).
-    let mut group = c.benchmark_group("gallop_crossover");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(1));
-    let large: Vec<GraphId> = (0..(1usize << 15)).map(|i| i * 2).collect();
-    for ratio in [2usize, 4, 8, 10, 12, 16, 32, 64] {
-        let small: Vec<GraphId> = large.iter().copied().step_by(ratio).collect();
-        assert_eq!(
-            intersect_gallop(&small, &large),
-            intersect_sorted(&small, &large)
-        );
-        group.bench_with_input(
-            BenchmarkId::new("merge", ratio),
-            &(&small, &large),
-            |b, (small, large)| b.iter(|| intersect_sorted(small, large)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("gallop", ratio),
-            &(&small, &large),
-            |b, (small, large)| b.iter(|| intersect_gallop(small, large)),
-        );
-    }
-    group.finish();
-
     // ---- Speedup summary straight from the recorded medians.
     let results = c.results();
     let median = |id: &str| results.iter().find(|r| r.id == id).map(|r| r.median_ns);
@@ -358,18 +331,6 @@ fn bench_hotloops(c: &mut Criterion) {
             );
         }
     }
-    for ratio in [2usize, 4, 8, 10, 12, 16, 32, 64] {
-        if let (Some(m), Some(g)) = (
-            median(&format!("gallop_crossover/merge/{ratio}")),
-            median(&format!("gallop_crossover/gallop/{ratio}")),
-        ) {
-            println!(
-                "gallop @ ratio {ratio:>3}: merge {m:>12.1} ns, gallop {g:>12.1} ns ({})",
-                if g < m { "gallop wins" } else { "merge wins" }
-            );
-        }
-    }
-    println!("configured GALLOP_CROSSOVER = {GALLOP_CROSSOVER}");
 }
 
 criterion_group!(benches, bench_hotloops);

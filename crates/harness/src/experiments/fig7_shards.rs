@@ -54,9 +54,8 @@ pub fn run_with_strategy(scale: &ExperimentScale, strategy: ShardStrategy) -> Ex
     );
     let workloads = workloads_for(&dataset, scale);
     for shards in sweep {
-        let options = options_for(scale)
-            .with_shards(shards)
-            .with_shard_strategy(strategy);
+        let mut options = options_for(scale);
+        options.service = options.service.shards(shards).strategy(strategy);
         report.push_point(measure_point(
             format!("{shards}"),
             shards as f64,

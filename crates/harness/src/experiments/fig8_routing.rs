@@ -69,7 +69,8 @@ pub fn run(scale: &ExperimentScale) -> ExperimentReport {
     let workloads = workloads_for(&dataset, scale);
     for shards in sweep {
         for routing in [RoutingMode::Fanout, RoutingMode::Synopsis] {
-            let options = options_for(scale).with_shards(shards).with_routing(routing);
+            let mut options = options_for(scale);
+            options.service = options.service.shards(shards).routing(routing);
             report.push_point(measure_point(
                 format!("{}@{shards}", routing.name()),
                 shards as f64,

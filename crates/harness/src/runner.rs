@@ -2,10 +2,7 @@
 //! per-method time budget.
 
 use crate::metrics::{MethodMetrics, StageTotals, Stopwatch};
-use crate::service::{
-    BatchReport, CachePolicy, QueryService, RoutingMode, ServiceOptions, ShardStrategy,
-    ShardedReport, ShardedService,
-};
+use crate::service::{BatchReport, QueryService, ServiceOptions, ShardedReport, ShardedService};
 use serde::{Deserialize, Serialize};
 use sqbench_generator::QueryWorkload;
 use sqbench_graph::Dataset;
@@ -45,7 +42,7 @@ pub struct ExperimentScale {
     /// RNG seed shared by dataset and workload generation.
     pub seed: u64,
     /// Query-service workers each method's workload is served on (see
-    /// [`RunOptions::with_query_threads`]). The paper's latency semantics need
+    /// [`ServiceOptions::workers`]). The paper's latency semantics need
     /// `1`; the smoke/laptop scales use a small pool so every figure run
     /// exercises (and benefits from) batched serving.
     pub query_threads: usize,
@@ -107,7 +104,7 @@ impl ExperimentScale {
 /// (method set, index configuration, time budget) layered over the unified
 /// [`ServiceOptions`] service surface. Service-side behaviour — workers,
 /// shards, placement strategy, routing, retry, caching — lives *only* on
-/// [`RunOptions::service`]; the `with_*` conveniences below delegate there.
+/// [`RunOptions::service`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Which methods to run (defaults to all six).
@@ -123,7 +120,7 @@ pub struct RunOptions {
     /// single-index service; answer sets are identical to the unsharded
     /// run, candidate counts may differ because each shard mines features
     /// over its own slice), placement strategy, routing mode and the
-    /// cross-query [`CachePolicy`]. Prefer `workers = 1` and the disabled
+    /// cross-query cache policy. Prefer `workers = 1` and the disabled
     /// cache when comparing latency numbers against the paper.
     pub service: ServiceOptions,
 }
@@ -158,40 +155,6 @@ impl RunOptions {
     /// Replaces the whole service surface in one move.
     pub fn with_service(mut self, service: ServiceOptions) -> Self {
         self.service = service;
-        self
-    }
-
-    /// Serves each method's query workload on up to `threads` service
-    /// workers (floored at 1; additionally clamped to the workload size
-    /// inside [`run_methods`]). Delegates to [`ServiceOptions::workers`].
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.service = self.service.workers(threads);
-        self
-    }
-
-    /// Partitions the dataset over `shards` cooperating shard services
-    /// (floored at 1 = unsharded). Delegates to [`ServiceOptions::shards`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.service = self.service.shards(shards);
-        self
-    }
-
-    /// Sets the shard partitioning strategy (see [`ShardStrategy`]).
-    pub fn with_shard_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.service = self.service.strategy(strategy);
-        self
-    }
-
-    /// Sets the shard routing mode (see [`RoutingMode`]).
-    pub fn with_routing(mut self, routing: RoutingMode) -> Self {
-        self.service = self.service.routing(routing);
-        self
-    }
-
-    /// Sets the cross-query cache policy (see [`CachePolicy`]). The
-    /// default is [`CachePolicy::disabled`] — paper-comparable runs.
-    pub fn with_cache(mut self, cache: CachePolicy) -> Self {
-        self.service = self.service.cache(cache);
         self
     }
 }
@@ -443,7 +406,7 @@ mod tests {
             &workloads,
             &RunOptions::fast()
                 .with_methods(&kinds)
-                .with_query_threads(3),
+                .with_service(ServiceOptions::new().workers(3)),
         );
         assert_eq!(sequential.len(), batched.len());
         for (s, b) in sequential.iter().zip(batched.iter()) {
@@ -459,21 +422,9 @@ mod tests {
     }
 
     #[test]
-    fn query_threads_builder_clamps_to_one() {
-        let options = RunOptions::fast().with_query_threads(0);
-        assert_eq!(options.service.workers, 1);
+    fn service_defaults_to_one_worker_unsharded() {
         assert_eq!(RunOptions::default().service.workers, 1);
-    }
-
-    #[test]
-    fn shards_builder_clamps_and_defaults_to_unsharded() {
         assert_eq!(RunOptions::default().service.shards, 1);
-        assert_eq!(RunOptions::fast().with_shards(0).service.shards, 1);
-        let options = RunOptions::fast()
-            .with_shards(3)
-            .with_shard_strategy(ShardStrategy::SizeBalanced);
-        assert_eq!(options.service.shards, 3);
-        assert_eq!(options.service.strategy, ShardStrategy::SizeBalanced);
     }
 
     #[test]
@@ -484,7 +435,9 @@ mod tests {
         let sharded = run_methods(
             &ds,
             &workloads,
-            &RunOptions::fast().with_methods(&kinds).with_shards(3),
+            &RunOptions::fast()
+                .with_methods(&kinds)
+                .with_service(ServiceOptions::new().shards(3)),
         );
         for (u, s) in unsharded.iter().zip(sharded.iter()) {
             assert_eq!(u.method, s.method);
@@ -510,7 +463,7 @@ mod tests {
         let (ds, workloads) = small_setup();
         let mut options = RunOptions::fast()
             .with_methods(&[MethodKind::Ggsx])
-            .with_shards(2);
+            .with_service(ServiceOptions::new().shards(2));
         options.time_budget = Duration::from_secs(0);
         let results = run_methods(&ds, &workloads, &options);
         assert!(results[0].timed_out);
@@ -524,7 +477,7 @@ mod tests {
         // The builder keeps the requested bound verbatim...
         let options = RunOptions::fast()
             .with_methods(&[MethodKind::Ggsx])
-            .with_query_threads(64);
+            .with_service(ServiceOptions::new().workers(64));
         assert_eq!(options.service.workers, 64);
         // ...and `run_methods` clamps it to the 4-query workload: the run
         // completes on 4 workers and reports exactly the serial results.

@@ -113,8 +113,8 @@ struct Slot<V> {
 
 /// A string-keyed LRU map: O(1) `get`/`put` via a slot-index doubly-linked
 /// recency list over a `HashMap`, with an eviction counter. Interior
-/// mutability and thread safety are the wrapping cache's concern — both
-/// [`FeatureCache`] and [`AnswerMemo`] hold one behind a `Mutex`.
+/// mutability and thread safety are the wrapping cache's concern — the core
+/// under [`FeatureCache`] and [`AnswerMemo`] holds one behind a `Mutex`.
 pub struct Lru<V> {
     map: HashMap<String, usize>,
     slots: Vec<Slot<V>>,
@@ -232,21 +232,19 @@ impl<V> Lru<V> {
     }
 }
 
-/// Per-(shard, method) LRU of hot per-feature candidate bitsets — the
-/// store behind [`sqbench_index::GraphIndex::filter_into_cached`]. Shared
-/// by all of one shard's workers; hits and misses are counted here (across
-/// every query that probed the store), evictions inside the LRU.
-pub struct FeatureCache {
-    entries: Mutex<Lru<Arc<CandidateSet>>>,
+/// What both cache levels are underneath: an [`Lru`] of shared values
+/// behind a mutex, hit/miss counters over every lookup, and an epoch that
+/// counts invalidations.
+struct CountedLru<V> {
+    entries: Mutex<Lru<Arc<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     epoch: AtomicU64,
 }
 
-impl FeatureCache {
-    /// An empty cache holding at most `capacity` feature bitsets.
-    pub fn new(capacity: usize) -> Self {
-        FeatureCache {
+impl<V> CountedLru<V> {
+    fn new(capacity: usize) -> Self {
+        CountedLru {
             entries: Mutex::new(Lru::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -254,7 +252,7 @@ impl FeatureCache {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<Arc<CandidateSet>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<Arc<V>>> {
         // Poison-tolerant like the admission queue: a worker that panicked
         // while holding the lock cannot leave a half-written entry (puts
         // are single `HashMap`/`Vec` operations), so serving continues.
@@ -263,24 +261,74 @@ impl FeatureCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Counted lookup, refreshing the entry's recency on a hit.
+    fn get(&self, key: &str) -> Option<Arc<V>> {
+        let hit = self.lock().get(key).cloned();
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
+    }
+
+    fn put(&self, key: String, value: Arc<V>) {
+        self.lock().put(key, value);
+    }
+
+    fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    fn evictions(&self) -> u64 {
+        self.lock().evictions()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    fn invalidate_all(&self) {
+        self.epoch.fetch_add(1, Ordering::Relaxed);
+        self.lock().clear();
+    }
+}
+
+/// Per-(shard, method) LRU of hot per-feature candidate bitsets — the
+/// store behind [`sqbench_index::GraphIndex::filter_into_cached`]. Shared
+/// by all of one shard's workers; hits and misses are counted here (across
+/// every query that probed the store), evictions inside the LRU.
+pub struct FeatureCache(CountedLru<CandidateSet>);
+
+impl FeatureCache {
+    /// An empty cache holding at most `capacity` feature bitsets.
+    pub fn new(capacity: usize) -> Self {
+        FeatureCache(CountedLru::new(capacity))
+    }
+
     /// Feature lookups that found a cached bitset.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.0.hits()
     }
 
     /// Feature lookups that missed.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.0.misses()
     }
 
     /// Entries evicted by capacity pressure.
     pub fn evictions(&self) -> u64 {
-        self.lock().evictions()
+        self.0.evictions()
     }
 
     /// Current cache epoch; bumped by [`FeatureCache::invalidate_all`].
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.0.epoch()
     }
 
     /// Drops every entry and bumps the epoch. Invoked automatically (via
@@ -288,28 +336,17 @@ impl FeatureCache {
     /// point — `ShardedService::insert_graph`/`remove_graph` and drained
     /// `IngestOp` mutations — so no cached entry ever spans a mutation.
     pub fn invalidate_all(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        self.lock().clear();
+        self.0.invalidate_all();
     }
 }
 
 impl FeatureCacheStore for FeatureCache {
     fn get(&self, key: &str) -> Option<Arc<CandidateSet>> {
-        let hit = self.lock().get(key).cloned();
-        match hit {
-            Some(set) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(set)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.0.get(key)
     }
 
     fn put(&self, key: String, value: Arc<CandidateSet>) {
-        self.lock().put(key, value);
+        self.0.put(key, value);
     }
 }
 
@@ -330,12 +367,7 @@ pub struct AnswerEntry {
 /// Whole-answer memo keyed by exact canonical graph form. One per service
 /// (not per shard — the memoized answer set is the merged, global one);
 /// probed at admission before any shard is planned.
-pub struct AnswerMemo {
-    entries: Mutex<Lru<Arc<AnswerEntry>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    epoch: AtomicU64,
-}
+pub struct AnswerMemo(CountedLru<AnswerEntry>);
 
 /// The memo key of a query, or `None` when the query is too large for
 /// *exact* canonicalization. Beyond
@@ -354,33 +386,12 @@ pub fn answer_memo_key(query: &Graph) -> Option<String> {
 impl AnswerMemo {
     /// An empty memo holding at most `capacity` answer sets.
     pub fn new(capacity: usize) -> Self {
-        AnswerMemo {
-            entries: Mutex::new(Lru::new(capacity)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Lru<Arc<AnswerEntry>>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        AnswerMemo(CountedLru::new(capacity))
     }
 
     /// Looks up a memoized answer set by canonical key.
     pub fn lookup(&self, key: &str) -> Option<Arc<AnswerEntry>> {
-        let hit = self.lock().get(key).cloned();
-        match hit {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.0.get(key)
     }
 
     /// Memoizes a completed query's answer set. Only [`QueryOutcome::Complete`]
@@ -388,37 +399,34 @@ impl AnswerMemo {
     /// be served as complete later (the crate's `MemoAdmission::settle`
     /// enforces this for both services).
     pub fn insert(&self, key: String, entry: AnswerEntry) {
-        self.lock().put(key, Arc::new(entry));
+        self.0.put(key, Arc::new(entry));
     }
 
     /// Memo lookups that hit.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.0.hits()
     }
 
     /// Memo lookups that missed (eligible queries only — oversized queries
     /// never probe).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.0.misses()
     }
 
     /// Entries evicted by capacity pressure.
     pub fn evictions(&self) -> u64 {
-        self.lock().evictions()
+        self.0.evictions()
     }
 
     /// Current memo epoch; bumped by [`AnswerMemo::invalidate_all`].
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.0.epoch()
     }
 
-    /// Drops every entry and bumps the epoch. Invoked automatically (via
-    /// the owning service's `invalidate_caches()`) by every mutation entry
-    /// point — `ShardedService::insert_graph`/`remove_graph` and drained
-    /// `IngestOp` mutations — so no cached entry ever spans a mutation.
+    /// Drops every entry and bumps the epoch, on the same automatic
+    /// triggers as [`FeatureCache::invalidate_all`].
     pub fn invalidate_all(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        self.lock().clear();
+        self.0.invalidate_all();
     }
 }
 

@@ -150,11 +150,13 @@ mod tests {
             .workers(0)
             .shards(0)
             .queue_capacity(0)
+            .strategy(ShardStrategy::SizeBalanced)
             .routing(RoutingMode::Synopsis)
             .cache(CachePolicy::enabled());
         assert_eq!(opts.workers, 1);
         assert_eq!(opts.shards, 1);
         assert_eq!(opts.queue_capacity, 1);
+        assert_eq!(opts.strategy, ShardStrategy::SizeBalanced);
         assert_eq!(opts.routing, RoutingMode::Synopsis);
         assert!(!opts.cache.is_disabled());
     }

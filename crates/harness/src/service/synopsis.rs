@@ -209,42 +209,28 @@ impl Router {
     /// additionally computes each query's path fingerprint once and demands
     /// shard-fingerprint coverage.
     pub fn plan(&self, queries: &[&Graph], mode: RoutingMode) -> Vec<Vec<usize>> {
-        match mode {
-            RoutingMode::Fanout => self
-                .synopses
-                .iter()
-                .map(|_| (0..queries.len()).collect())
-                .collect(),
-            RoutingMode::Synopsis => {
-                let query_synopses: Vec<GraphSynopsis> =
-                    queries.iter().map(|q| GraphSynopsis::of(q)).collect();
-                self.synopses
-                    .iter()
-                    .map(|shard| {
-                        (0..queries.len())
-                            .filter(|&qi| shard.admits(&query_synopses[qi]))
-                            .collect()
-                    })
-                    .collect()
-            }
-            RoutingMode::SynopsisFingerprint => {
-                let query_synopses: Vec<GraphSynopsis> =
-                    queries.iter().map(|q| GraphSynopsis::of(q)).collect();
-                let query_fps: Vec<Fingerprint> =
-                    queries.iter().map(|q| Self::graph_fingerprint(q)).collect();
-                self.synopses
-                    .iter()
-                    .zip(self.fingerprints.iter())
-                    .map(|(shard, shard_fp)| {
-                        (0..queries.len())
-                            .filter(|&qi| {
-                                shard.admits(&query_synopses[qi]) && shard_fp.covers(&query_fps[qi])
-                            })
-                            .collect()
-                    })
-                    .collect()
-            }
+        if mode == RoutingMode::Fanout {
+            return vec![(0..queries.len()).collect(); self.synopses.len()];
         }
+        let query_synopses: Vec<GraphSynopsis> =
+            queries.iter().map(|q| GraphSynopsis::of(q)).collect();
+        // Only the fingerprint tier pays for enumerating the queries' paths.
+        let query_fps: Option<Vec<Fingerprint>> = (mode == RoutingMode::SynopsisFingerprint)
+            .then(|| queries.iter().map(|q| Self::graph_fingerprint(q)).collect());
+        self.synopses
+            .iter()
+            .zip(&self.fingerprints)
+            .map(|(shard, shard_fp)| {
+                (0..queries.len())
+                    .filter(|&qi| {
+                        shard.admits(&query_synopses[qi])
+                            && query_fps
+                                .as_ref()
+                                .is_none_or(|fps| shard_fp.covers(&fps[qi]))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 

@@ -1,28 +1,31 @@
 //! Shared candidate-set engine for the filtering stage.
 //!
 //! Every filter-and-verify method spends its filtering stage intersecting
-//! per-feature sets of graph ids. The seed implementation materialized a
-//! fresh sorted `Vec<GraphId>` per feature and merged pairwise
-//! ([`crate::intersect_sorted`]); at dataset scale that is one allocation
-//! plus an `O(|a| + |b|)` merge for *every* feature of *every* query. This
-//! module replaces that with two cache-friendly primitives:
+//! per-feature sets of graph ids. This module is the one engine that does
+//! it:
 //!
 //! * [`CandidateSet`] — a dense bitset over graph ids (`u64` blocks sized to
 //!   the dataset). Intersection and union are word-wise `&`/`|` sweeps,
 //!   membership is popcount-free bit probing, and cardinality is a popcount
-//!   sweep. One set is allocated per query and *narrowed in place*, so the
+//!   sweep. One set is allocated per worker and *narrowed in place*, so the
 //!   per-feature cost is `O(dataset / 64)` words with zero allocation.
-//! * [`PostingList`] — a sorted id list as stored in index payloads, with a
-//!   galloping sorted-sorted intersection for the skewed case and a
-//!   streaming [`CandidateSet::retain_sorted`] bridge so a posting list can
-//!   narrow a bitset without being converted first.
+//! * [`PostingList`] — a sorted id list as stored in index payloads; its
+//!   slice streams into a bitset through [`CandidateSet::retain_sorted`]
+//!   without being converted first.
+//! * [`ArenaFold`] — the seed-then-narrow loop over a caller-owned arena
+//!   set, and `fold_rarest_first`, the one routine GraphGrepSX, Grapes,
+//!   gIndex and Tree+Δ all filter through: each method only *describes* its
+//!   query's postings (the crate-private `Posting` trait), the routine sorts
+//!   them rarest-first, folds them — streamed, or as cached bitsets when a
+//!   [`FilterCacheCtx`] is attached — and short-circuits on empty.
 //!
-//! [`CandidateFold`] packages the common filtering loop (first feature seeds
-//! the set, later features narrow it, absence of any constraint means "all
-//! graphs") used by GraphGrepSX, Grapes, gIndex and Tree+Δ.
+//! [`crate::intersect_sorted`] (the sorted-`Vec` linear merge) stays as the
+//! reference the engine is property-tested against.
 
+use crate::fcache::FilterCacheCtx;
 use sqbench_graph::GraphId;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const BLOCK_BITS: usize = 64;
 
@@ -283,26 +286,6 @@ impl CandidateSet {
         self.invalidate_len();
     }
 
-    /// Fused intersection + dead-id-mask application in one wide sweep:
-    /// `self = (self & other) & !dead`. Equivalent to `intersect_with`
-    /// followed by [`Tombstones::apply`], but each block is loaded and
-    /// stored once instead of twice — the shape every mutable index's
-    /// cached filter path ends in.
-    pub fn intersect_with_masked(&mut self, other: &CandidateSet, dead: &Tombstones) {
-        debug_assert_eq!(self.universe, other.universe, "universe mismatch");
-        let mask = dead.block_mask();
-        let n = self.blocks.len().min(other.blocks.len());
-        for (i, (a, b)) in self.blocks[..n]
-            .iter_mut()
-            .zip(other.blocks[..n].iter())
-            .enumerate()
-        {
-            let m = mask.get(i).copied().unwrap_or(0);
-            *a = (*a & b) & !m;
-        }
-        self.invalidate_len();
-    }
-
     /// Clears every id whose bit is set in `mask` (a block bitmask as kept
     /// by [`Tombstones`]) in one wide AND-NOT sweep. Mask blocks beyond the
     /// set's universe are ignored, matching the per-id semantics.
@@ -425,13 +408,6 @@ impl PostingList {
         PostingList { ids }
     }
 
-    /// Builds a list from arbitrary ids (sorts and deduplicates).
-    pub fn from_unsorted(mut ids: Vec<GraphId>) -> Self {
-        ids.sort_unstable();
-        ids.dedup();
-        PostingList { ids }
-    }
-
     /// The ids as a slice.
     pub fn as_slice(&self) -> &[GraphId] {
         &self.ids
@@ -462,17 +438,6 @@ impl PostingList {
             "append_max requires a new maximum id"
         );
         self.ids.push(id);
-    }
-
-    /// Narrows `set` to the ids also present in this list (streaming, no
-    /// allocation).
-    pub fn intersect_into(&self, set: &mut CandidateSet) {
-        set.retain_sorted(self.ids.iter().copied());
-    }
-
-    /// Materializes this list as a [`CandidateSet`].
-    pub fn to_candidate_set(&self, universe: usize) -> CandidateSet {
-        CandidateSet::from_sorted_ids(universe, &self.ids)
     }
 
     /// Estimated heap bytes.
@@ -593,10 +558,10 @@ impl Tombstones {
         &self.dead
     }
 
-    /// Clears every dead bit from `out` — the mandatory last step of every
-    /// `filter_into` path of a mutable index. One wide AND-NOT sweep over
-    /// the maintained block mask; dead ids above `out`'s universe fall off
-    /// the end of the zip exactly as the old per-id loop skipped them.
+    /// Clears every dead bit from `out` — the mandatory closing step of
+    /// every `filter_into` path of a mutable index (nothing after it may
+    /// set a bit). One wide AND-NOT sweep over the maintained block mask;
+    /// dead ids above `out`'s universe fall off the end of the zip.
     pub fn apply(&self, out: &mut CandidateSet) {
         if self.dead.is_empty() {
             return;
@@ -629,139 +594,17 @@ impl Tombstones {
     }
 }
 
-/// Size-skew ratio above which [`intersect_posting`] switches from the
-/// linear merge to galloping search. Measured on this machine by the
-/// `gallop_crossover` group of `micro_hotloops` (see
-/// `crates/bench/benches/micro_hotloops.rs`), which times both strategies
-/// on a 1<<15-element posting at skew ratios 2..64: the merge wins clearly
-/// through ratio 8 (~38µs vs ~62µs) and still narrowly at 10, galloping
-/// takes over at 12 (~51µs vs ~61µs) and wins decisively from 16 up
-/// (~39µs vs ~52µs, 3.4x by ratio 64). The crossover sits in the 10–12
-/// band, so 10 replaces the previous unmeasured guess of 16 — postings in
-/// the 12–16x skew band (common once filter folds apply rarest features
-/// first) now take the faster galloping path.
-pub const GALLOP_CROSSOVER: usize = 10;
-
-/// Sorted-sorted intersection of id slices. Size-skewed inputs use a
-/// galloping (exponential) search from the smaller side; similar sizes use
-/// the linear merge. Allocates the output — the methods' hot paths use
-/// [`CandidateSet::retain_sorted`] instead; this exists as the engine's
-/// Vec-producing entry point and as the baseline the micro-benchmarks
-/// compare against.
-pub fn intersect_posting(a: &[GraphId], b: &[GraphId]) -> Vec<GraphId> {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return Vec::new();
-    }
-    // Galloping pays off when one side is much smaller (see GALLOP_CROSSOVER).
-    if small.len() * GALLOP_CROSSOVER < large.len() {
-        intersect_gallop(small, large)
-    } else {
-        crate::intersect_sorted(small, large)
-    }
-}
-
-/// The galloping strategy of [`intersect_posting`], callable directly so the
-/// `gallop_crossover` micro-benchmark can time it against the linear merge
-/// at every skew ratio (the dispatching wrapper would hide the losing
-/// strategy below the crossover). `small` must be the shorter slice.
-#[doc(hidden)]
-pub fn intersect_gallop(small: &[GraphId], large: &[GraphId]) -> Vec<GraphId> {
-    let mut out = Vec::with_capacity(small.len());
-    let mut base = 0usize;
-    for &id in small {
-        if base >= large.len() {
-            break;
-        }
-        // Exponential probe for the first index >= id, then a binary
-        // search inside the bracketed window.
-        let mut offset = 1usize;
-        while base + offset < large.len() && large[base + offset] < id {
-            offset <<= 1;
-        }
-        let window_end = (base + offset + 1).min(large.len());
-        match large[base..window_end].binary_search(&id) {
-            Ok(pos) => {
-                out.push(id);
-                base += pos + 1;
-            }
-            Err(pos) => base += pos,
-        }
-    }
-    out
-}
-
-/// The shared filtering loop: feature posting streams arrive one at a time,
-/// the first seeds the candidate set, later ones narrow it in place, and a
-/// query none of whose features are indexed leaves the fold unconstrained
-/// (every graph is a candidate — the gIndex / Tree+Δ semantics).
-#[derive(Debug)]
-pub struct CandidateFold {
-    universe: usize,
-    set: Option<CandidateSet>,
-}
-
-impl CandidateFold {
-    /// A fold over a dataset of `universe` graphs, initially unconstrained.
-    pub fn new(universe: usize) -> Self {
-        CandidateFold {
-            universe,
-            set: None,
-        }
-    }
-
-    /// Applies one feature's ascending id stream. Returns `false` when the
-    /// candidate set became empty (callers short-circuit).
-    pub fn apply_sorted<I>(&mut self, ids: I) -> bool
-    where
-        I: IntoIterator<Item = GraphId>,
-    {
-        match &mut self.set {
-            None => {
-                let mut set = CandidateSet::empty(self.universe);
-                for id in ids {
-                    set.insert(id);
-                }
-                self.set = Some(set);
-            }
-            Some(set) => set.retain_sorted(ids),
-        }
-        !self.set.as_ref().expect("set was just seeded").is_empty()
-    }
-
-    /// `true` when at least one feature has been applied.
-    pub fn is_constrained(&self) -> bool {
-        self.set.is_some()
-    }
-
-    /// Finishes the fold as a [`CandidateSet`] (unconstrained → full set).
-    pub fn into_set(self) -> CandidateSet {
-        match self.set {
-            Some(set) => set,
-            None => CandidateSet::full(self.universe),
-        }
-    }
-
-    /// Finishes the fold as the sorted candidate vector the [`crate::GraphIndex`]
-    /// contract requires (unconstrained → all ids).
-    pub fn into_sorted_vec(self) -> Vec<GraphId> {
-        match self.set {
-            Some(set) => set.to_sorted_vec(),
-            None => (0..self.universe).collect(),
-        }
-    }
-}
-
-/// The borrowed-set counterpart of [`CandidateFold`]: the same
-/// seed-then-narrow loop, but folding into a caller-owned arena
-/// [`CandidateSet`] instead of allocating one. This is what the
-/// [`crate::GraphIndex::filter_into`] implementations of the posting-fold
-/// methods run on — a query service hands each worker's reusable arena to
-/// `filter_into` and no per-query set (or `Vec<GraphId>`) is ever allocated.
+/// The seed-then-narrow loop of the filtering stage, folding into a
+/// caller-owned arena [`CandidateSet`]: the first feature applied seeds the
+/// set, later ones narrow it in place, and a fold that no feature constrained
+/// finishes as the full set ("no information" — the gIndex / Tree+Δ
+/// semantics). A query service hands each worker's reusable arena to
+/// [`crate::GraphIndex::filter_into`], so no per-query set (or
+/// `Vec<GraphId>`) is ever allocated.
 ///
 /// Dropping the fold without calling [`ArenaFold::finish`] leaves the arena
-/// in whatever narrowed state it reached — callers that short-circuit on an
-/// empty set rely on exactly that.
+/// in whatever narrowed state it reached — the short-circuit on an empty set
+/// relies on exactly that.
 #[derive(Debug)]
 pub struct ArenaFold<'a> {
     set: &'a mut CandidateSet,
@@ -836,6 +679,131 @@ impl<'a> ArenaFold<'a> {
     pub fn prune_all(self) {
         self.set.clear();
     }
+
+    /// Continues a fold over an arena an earlier stage already seeded: every
+    /// feature narrows, and finishing never widens to the full set.
+    fn resume(set: &'a mut CandidateSet) -> Self {
+        ArenaFold {
+            set,
+            constrained: true,
+        }
+    }
+
+    /// The per-query fold both entry points below run: postings sorted
+    /// rarest-first (stable, so equal lengths keep arrival order), each
+    /// streamed into the arena — or, with a cache attached, folded as the
+    /// feature's cached bitset, materialized and published on a miss — until
+    /// the set runs empty.
+    fn narrow<P: Posting>(
+        mut self,
+        mut postings: Vec<P>,
+        mut ctx: Option<&mut FilterCacheCtx<'_>>,
+    ) {
+        postings.sort_by_key(Posting::len);
+        for posting in &postings {
+            let alive = match ctx.as_deref_mut() {
+                None => self.apply_sorted(posting.ids()),
+                Some(ctx) => {
+                    let key = posting.cache_key();
+                    let cached = match ctx.get(&key) {
+                        Some(set) => set,
+                        None => {
+                            let mut set = CandidateSet::empty(self.set.universe());
+                            for id in posting.ids() {
+                                set.insert(id);
+                            }
+                            let set = Arc::new(set);
+                            ctx.put(key, Arc::clone(&set));
+                            set
+                        }
+                    };
+                    self.apply_set(&cached)
+                }
+            };
+            if !alive {
+                return;
+            }
+        }
+        self.finish();
+    }
+}
+
+/// One query feature's posting list, as [`fold_rarest_first`] sees it. A
+/// method's filter only describes its postings; the fold does the rest.
+pub(crate) trait Posting {
+    /// An upper bound on the number of posted ids, cheap to read — the
+    /// rarest-first sort key.
+    fn len(&self) -> usize;
+
+    /// The posted graph ids, strictly ascending.
+    fn ids(&self) -> impl Iterator<Item = GraphId> + '_;
+
+    /// The feature's cross-query cache key, unique within one index
+    /// instance (a cache store is bound to one). Only built when a cache is
+    /// attached.
+    fn cache_key(&self) -> String;
+}
+
+/// A posting stored as a sorted id slice under a string feature key — the
+/// shape of gIndex's mined supports and Tree+Δ's tree and Δ supports. `tag`
+/// keeps the key spaces of one index apart.
+pub(crate) struct SlicePosting<'a> {
+    pub(crate) tag: char,
+    pub(crate) key: &'a str,
+    pub(crate) ids: &'a [GraphId],
+}
+
+impl Posting for SlicePosting<'_> {
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn ids(&self) -> impl Iterator<Item = GraphId> + '_ {
+        self.ids.iter().copied()
+    }
+
+    fn cache_key(&self) -> String {
+        format!("{}:{}", self.tag, self.key)
+    }
+}
+
+/// The filtering stage of every posting-fold method: resets `out` to
+/// `0..universe` and folds the query's postings into it rarest-first,
+/// leaving exactly the graphs every posting lists (all of them when there
+/// is no posting). A `None` item is a feature the index proves no graph
+/// has: it prunes everything before any posting is read or any cache probed.
+///
+/// With `ctx` absent the postings are streamed straight from the index
+/// payloads — no key is built, nothing is allocated beyond the posting
+/// descriptions. With `ctx` present each feature's bitset comes from (or
+/// goes into) the cross-query cache. Both arms fold in the same order and
+/// leave bit-identical sets.
+pub(crate) fn fold_rarest_first<P: Posting>(
+    out: &mut CandidateSet,
+    universe: usize,
+    postings: impl IntoIterator<Item = Option<P>>,
+    ctx: Option<&mut FilterCacheCtx<'_>>,
+) {
+    let fold = ArenaFold::new(out, universe);
+    let postings = postings.into_iter();
+    let mut present = Vec::with_capacity(postings.size_hint().0);
+    for posting in postings {
+        match posting {
+            Some(posting) => present.push(posting),
+            None => return fold.prune_all(),
+        }
+    }
+    fold.narrow(present, ctx);
+}
+
+/// [`fold_rarest_first`] for a later stage of the same query: narrows what
+/// an earlier fold left in `out` instead of resetting it (Tree+Δ's Δ stage).
+pub(crate) fn narrow_rarest_first<P: Posting>(
+    out: &mut CandidateSet,
+    postings: Vec<P>,
+    ctx: Option<&mut FilterCacheCtx<'_>>,
+) {
+    ArenaFold::resume(out).narrow(postings, ctx);
 }
 
 #[cfg(test)]
@@ -927,14 +895,13 @@ mod tests {
     }
 
     #[test]
-    fn posting_list_roundtrip() {
-        let p = PostingList::from_unsorted(vec![9, 3, 3, 7]);
+    fn posting_list_streams_into_a_set() {
+        let p = PostingList::from_sorted(vec![3, 7, 9]);
         assert_eq!(p.as_slice(), &[3, 7, 9]);
         assert_eq!(p.len(), 3);
         let mut set = CandidateSet::full(10);
-        p.intersect_into(&mut set);
+        set.retain_sorted(p.as_slice().iter().copied());
         assert_eq!(set.to_sorted_vec(), vec![3, 7, 9]);
-        assert_eq!(p.to_candidate_set(10).to_sorted_vec(), vec![3, 7, 9]);
         assert!(PostingList::default().is_empty());
     }
 
@@ -1030,24 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_intersect_mask_matches_two_pass() {
-        let a = CandidateSet::from_sorted_ids(200, &[1, 5, 63, 64, 65, 128, 199]);
-        let b = CandidateSet::from_sorted_ids(200, &[5, 63, 64, 128, 150, 199]);
-        let mut dead = Tombstones::new();
-        dead.mark(64);
-        dead.mark(199);
-
-        let mut fused = a.clone();
-        fused.intersect_with_masked(&b, &dead);
-
-        let mut two_pass = a.clone();
-        two_pass.intersect_with(&b);
-        dead.apply(&mut two_pass);
-        assert_eq!(fused, two_pass);
-        assert_eq!(fused.to_sorted_vec(), vec![5, 63, 128]);
-    }
-
-    #[test]
     fn cached_len_tracks_every_mutation() {
         let mut s = CandidateSet::empty(300);
         assert_eq!(s.len(), 0);
@@ -1081,7 +1030,7 @@ mod tests {
 
     #[test]
     fn posting_order_invariant_helper() {
-        let mut p = PostingList::from_unsorted(vec![4, 1, 9]);
+        let mut p = PostingList::from_sorted(vec![1, 4, 9]);
         assert!(p.is_strictly_ascending());
         p.append_max(12);
         assert!(p.is_strictly_ascending());
@@ -1090,20 +1039,6 @@ mod tests {
         p.compact(&dead);
         assert!(p.is_strictly_ascending());
         assert_eq!(p.as_slice(), &[1, 4, 12]);
-    }
-
-    #[test]
-    fn galloping_intersection_agrees_with_merge() {
-        let small: Vec<GraphId> = vec![5, 100, 101, 5000];
-        let large: Vec<GraphId> = (0..6000).filter(|x| x % 5 == 0).collect();
-        let expected = crate::intersect_sorted(&small, &large);
-        assert_eq!(intersect_posting(&small, &large), expected);
-        assert_eq!(intersect_posting(&large, &small), expected);
-        assert_eq!(intersect_posting(&[], &large), Vec::<GraphId>::new());
-        // Similar sizes take the merge path.
-        let a: Vec<GraphId> = (0..100).collect();
-        let b: Vec<GraphId> = (50..150).collect();
-        assert_eq!(intersect_posting(&a, &b), crate::intersect_sorted(&a, &b));
     }
 
     #[test]
@@ -1127,12 +1062,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_fold_matches_owned_fold() {
+    fn arena_fold_matches_sorted_vec_chain() {
         let lists: Vec<Vec<GraphId>> = vec![vec![1, 3, 5, 7, 64], vec![3, 5, 64], vec![5, 64, 99]];
-        let mut owned = CandidateFold::new(100);
-        for list in &lists {
-            owned.apply_sorted(list.iter().copied());
-        }
+        let reference = lists[1..].iter().fold(lists[0].clone(), |acc, list| {
+            crate::intersect_sorted(&acc, list)
+        });
         let mut arena = CandidateSet::full(7); // dirty, wrong universe
         let mut fold = ArenaFold::new(&mut arena, 100);
         assert!(!fold.is_constrained());
@@ -1141,77 +1075,98 @@ mod tests {
         }
         assert!(fold.is_constrained());
         fold.finish();
-        assert_eq!(arena.to_sorted_vec(), owned.into_sorted_vec());
+        assert_eq!(arena.to_sorted_vec(), reference);
     }
 
+    /// The fold's contract, once, at the fold: for every shape of posting
+    /// set, the streamed arm, a cold cache, a warm cache and the sorted-`Vec`
+    /// reference chain leave the same bits — whatever order the postings
+    /// arrive in, however dirty the arena — and the streamed arm never
+    /// touches the store.
     #[test]
-    fn arena_fold_apply_set_matches_apply_sorted() {
-        let lists: Vec<Vec<GraphId>> = vec![vec![1, 3, 5, 7, 64], vec![3, 5, 64], vec![5, 64, 99]];
-        let mut streamed = CandidateSet::empty(100);
-        let mut fold = ArenaFold::new(&mut streamed, 100);
-        for list in &lists {
-            fold.apply_sorted(list.iter().copied());
+    fn fold_contract_streamed_cached_and_reference_agree() {
+        use crate::fcache::tests::MapStore;
+        const UNIVERSE: usize = 150;
+        let dead = Tombstones::from_sorted(&[5, 64]);
+        // (name, postings — `None` is a feature absent from the index,
+        // postings the cached arm probes before it is done)
+        type Row = (&'static str, Vec<Option<Vec<GraphId>>>, usize);
+        let table: Vec<Row> = vec![
+            ("no posting: unconstrained, full", vec![], 0),
+            ("one posting", vec![Some(vec![1, 5, 64, 149])], 1),
+            (
+                "several postings",
+                vec![
+                    Some(vec![1, 3, 5, 7, 64, 99]),
+                    Some(vec![5, 64, 99]),
+                    Some(vec![3, 5, 64, 99, 120]),
+                ],
+                3,
+            ),
+            (
+                "empty intersection short-circuits before the long posting",
+                vec![
+                    Some((0..UNIVERSE).collect()),
+                    Some(vec![2, 70]),
+                    Some(vec![4, 71]),
+                ],
+                2,
+            ),
+            (
+                "absent feature prunes all before any probe",
+                vec![Some(vec![1, 2, 3]), None, Some(vec![2, 3])],
+                0,
+            ),
+        ];
+        for (name, postings, probed) in table {
+            let mut reference: Vec<GraphId> = if postings.iter().any(Option::is_none) {
+                Vec::new()
+            } else {
+                postings
+                    .iter()
+                    .flatten()
+                    .fold((0..UNIVERSE).collect(), |acc, list| {
+                        crate::intersect_sorted(&acc, list)
+                    })
+            };
+            reference.retain(|id| !dead.contains(*id));
+            let keys: Vec<String> = (0..postings.len()).map(|i| i.to_string()).collect();
+            let store = MapStore::default();
+            for rotation in 0..postings.len().max(1) {
+                let describe = || {
+                    let mut arrival: Vec<Option<SlicePosting<'_>>> = postings
+                        .iter()
+                        .zip(&keys)
+                        .map(|(ids, key)| {
+                            let ids = ids.as_deref()?;
+                            Some(SlicePosting { tag: 'x', key, ids })
+                        })
+                        .collect();
+                    arrival.rotate_left(rotation);
+                    arrival
+                };
+                let run = |ctx: Option<&mut FilterCacheCtx<'_>>| {
+                    let mut arena = CandidateSet::full(7); // dirty, wrong universe
+                    fold_rarest_first(&mut arena, UNIVERSE, describe(), ctx);
+                    assert_eq!(arena.universe(), UNIVERSE, "{name}");
+                    dead.apply(&mut arena);
+                    arena.to_sorted_vec()
+                };
+                let calls = store.calls();
+                assert_eq!(run(None), reference, "{name}: streamed");
+                assert_eq!(store.calls(), calls, "{name}: streamed arm used the store");
+                // The first rotation runs cold (a get and a put per probed
+                // posting); every later run is warm (a get each).
+                let cold = rotation == 0;
+                let mut ctx = FilterCacheCtx::new(&store);
+                assert_eq!(run(Some(&mut ctx)), reference, "{name}: cold {cold}");
+                assert_eq!(
+                    store.calls() - calls,
+                    if cold { 2 * probed } else { probed },
+                    "{name}: store calls, cold {cold}"
+                );
+                assert_eq!(run(Some(&mut ctx)), reference, "{name}: warm");
+            }
         }
-        fold.finish();
-        let mut cached = CandidateSet::empty(100);
-        let mut fold = ArenaFold::new(&mut cached, 100);
-        for list in &lists {
-            let set = CandidateSet::from_sorted_ids(100, list);
-            assert!(fold.apply_set(&set));
-        }
-        assert!(fold.is_constrained());
-        fold.finish();
-        assert_eq!(cached.to_sorted_vec(), streamed.to_sorted_vec());
-    }
-
-    #[test]
-    fn arena_fold_apply_set_short_circuits_on_disjoint_sets() {
-        let mut arena = CandidateSet::empty(10);
-        let mut fold = ArenaFold::new(&mut arena, 10);
-        assert!(fold.apply_set(&CandidateSet::from_sorted_ids(10, &[2])));
-        assert!(!fold.apply_set(&CandidateSet::from_sorted_ids(10, &[4])));
-        fold.finish(); // constrained: stays empty
-        assert!(arena.is_empty());
-    }
-
-    #[test]
-    fn arena_fold_unconstrained_finishes_full() {
-        let mut arena = CandidateSet::from_sorted_ids(40, &[1, 2]);
-        ArenaFold::new(&mut arena, 9).finish();
-        assert_eq!(arena.to_sorted_vec(), (0..9).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn arena_fold_short_circuits_on_empty() {
-        let mut arena = CandidateSet::empty(10);
-        let mut fold = ArenaFold::new(&mut arena, 10);
-        assert!(fold.apply_sorted([2usize]));
-        assert!(!fold.apply_sorted([4usize]));
-        fold.finish(); // constrained: stays empty
-        assert!(arena.is_empty());
-    }
-
-    #[test]
-    fn fold_unconstrained_yields_all() {
-        let fold = CandidateFold::new(5);
-        assert!(!fold.is_constrained());
-        assert_eq!(fold.into_sorted_vec(), vec![0, 1, 2, 3, 4]);
-        let fold = CandidateFold::new(5);
-        assert_eq!(fold.into_set().len(), 5);
-    }
-
-    #[test]
-    fn fold_narrows_and_short_circuits() {
-        let mut fold = CandidateFold::new(10);
-        assert!(fold.apply_sorted([1usize, 3, 5, 7]));
-        assert!(fold.apply_sorted([3usize, 5, 9]));
-        assert!(fold.is_constrained());
-        let clone_check = fold.into_sorted_vec();
-        assert_eq!(clone_check, vec![3, 5]);
-
-        let mut dead = CandidateFold::new(10);
-        assert!(dead.apply_sorted([2usize]));
-        assert!(!dead.apply_sorted([4usize]));
-        assert_eq!(dead.into_sorted_vec(), Vec::<GraphId>::new());
     }
 }

@@ -14,7 +14,6 @@
 
 use crate::candidates::{CandidateSet, Tombstones};
 use crate::config::CtIndexConfig;
-use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_features::cycles::enumerate_cycles;
 use sqbench_features::trees::enumerate_trees;
@@ -122,18 +121,6 @@ impl GraphIndex for CtIndex {
         self.tombstones.apply(out);
     }
 
-    fn filter_into_cached(
-        &self,
-        query: &Graph,
-        out: &mut CandidateSet,
-        _ctx: &mut FilterCacheCtx<'_>,
-    ) {
-        // Explicit opt-out: filtering is one fingerprint subset-test scan
-        // with no per-feature posting lists to reuse across queries, so a
-        // feature cache could only add probe overhead.
-        self.filter_into(query, out);
-    }
-
     fn stats(&self) -> IndexStats {
         IndexStats {
             distinct_features: self.hashed_features,
@@ -220,7 +207,7 @@ mod tests {
             (vec![1, 2, 1], vec![(0, 1), (1, 2)]),
         ] {
             let q = query(&labels, &edges);
-            let candidates = idx.filter(&q);
+            let candidates = idx.query(&ds, &q).candidates;
             for a in exhaustive_answers(&ds, &q) {
                 assert!(candidates.contains(&a));
             }
@@ -250,7 +237,7 @@ mod tests {
         // Triangle query: the path graph has no cycle feature, so (absent
         // unlucky hash collisions at 4096 bits) it is pruned by filtering.
         let q = query(&[1, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
-        let candidates = idx.filter(&q);
+        let candidates = idx.query(&ds, &q).candidates;
         assert!(
             !candidates.contains(&1),
             "acyclic graph should be filtered out"
@@ -272,7 +259,7 @@ mod tests {
         let q = query(&[1, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
         // Narrow fingerprints collide more, so the candidate set can only be
         // the same or larger...
-        assert!(narrow.filter(&q).len() >= wide.filter(&q).len());
+        assert!(narrow.query(&ds, &q).candidates.len() >= wide.query(&ds, &q).candidates.len());
         // ...but the verified answers are identical.
         assert_eq!(narrow.query(&ds, &q).answers, wide.query(&ds, &q).answers);
     }

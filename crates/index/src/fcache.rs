@@ -87,23 +87,35 @@ impl<'a> FilterCacheCtx<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// Unbounded map store, enough to exercise the context plumbing.
+    /// Unbounded map store that counts the calls it serves — enough to
+    /// exercise the context plumbing and to pin who probes when.
     #[derive(Default)]
-    struct MapStore {
+    pub(crate) struct MapStore {
         entries: Mutex<HashMap<String, Arc<CandidateSet>>>,
+        calls: AtomicUsize,
+    }
+
+    impl MapStore {
+        /// `get` + `put` calls served so far.
+        pub(crate) fn calls(&self) -> usize {
+            self.calls.load(Ordering::Relaxed)
+        }
     }
 
     impl FeatureCacheStore for MapStore {
         fn get(&self, key: &str) -> Option<Arc<CandidateSet>> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
             self.entries.lock().unwrap().get(key).cloned()
         }
 
         fn put(&self, key: String, value: Arc<CandidateSet>) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
             self.entries.lock().unwrap().insert(key, value);
         }
     }
@@ -118,5 +130,6 @@ mod tests {
         let cached = ctx.get("p:1:2.3").expect("hit after put");
         assert_eq!(cached.to_sorted_vec(), vec![1, 4]);
         assert!(ctx.probe_seconds() >= 0.0);
+        assert_eq!(store.calls(), 3);
     }
 }

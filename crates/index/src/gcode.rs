@@ -30,7 +30,6 @@
 
 use crate::candidates::{CandidateSet, Tombstones};
 use crate::config::GCodeConfig;
-use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_graph::{Dataset, Graph, GraphId, VertexId};
 
@@ -350,18 +349,6 @@ impl GraphIndex for GCodeIndex {
         self.tombstones.apply(out);
     }
 
-    fn filter_into_cached(
-        &self,
-        query: &Graph,
-        out: &mut CandidateSet,
-        _ctx: &mut FilterCacheCtx<'_>,
-    ) {
-        // Explicit opt-out: filtering is one spectral-code coverage scan
-        // with no per-feature posting lists to reuse across queries, so a
-        // feature cache could only add probe overhead.
-        self.filter_into(query, out);
-    }
-
     fn stats(&self) -> IndexStats {
         IndexStats {
             distinct_features: self.codes.iter().map(|c| c.vertex_signatures.len()).sum(),
@@ -455,7 +442,7 @@ mod tests {
             (vec![1, 1, 2], vec![(0, 1), (1, 2), (2, 0)]),
         ] {
             let q = query(&labels, &edges);
-            let candidates = idx.filter(&q);
+            let candidates = idx.query(&ds, &q).candidates;
             for a in exhaustive_answers(&ds, &q) {
                 assert!(candidates.contains(&a), "answer missing for {labels:?}");
             }
@@ -484,7 +471,7 @@ mod tests {
         // Query: label-2 vertex with three label-1 neighbors. Only the star
         // has such a vertex; the triangle's label-2 vertex has two neighbors.
         let q = query(&[2, 1, 1, 1], &[(0, 1), (0, 2), (0, 3)]);
-        let candidates = idx.filter(&q);
+        let candidates = idx.query(&ds, &q).candidates;
         assert_eq!(candidates, vec![2]);
     }
 
@@ -495,7 +482,7 @@ mod tests {
         // A query with four label-1 vertices cannot fit any dataset graph
         // (the star has only three).
         let q = query(&[1, 1, 1, 1], &[(0, 1), (1, 2), (2, 3)]);
-        assert!(idx.filter(&q).is_empty());
+        assert!(idx.query(&ds, &q).candidates.is_empty());
     }
 
     #[test]

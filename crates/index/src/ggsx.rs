@@ -11,78 +11,67 @@
 //! occurrences than the query requires, and verifies the surviving
 //! candidates with VF2.
 
-use crate::candidates::{ArenaFold, CandidateSet, Tombstones};
+use crate::candidates::{fold_rarest_first, CandidateSet, Posting, Tombstones};
 use crate::config::GgsxConfig;
 use crate::fcache::FilterCacheCtx;
-use crate::path_trie::PathTrie;
+use crate::path_trie::{PathEntry, PathTrie};
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_features::paths::for_each_path;
 use sqbench_graph::{Dataset, Graph, GraphId, Label};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-/// Cache key of one path feature: the required occurrence count plus the
-/// label sequence. Keys are only unique *per trie* — the cache layer binds
-/// one store to one index instance, so that is all they need to be.
-pub(crate) fn path_feature_key(labels: &[Label], count: u32) -> String {
-    use std::fmt::Write as _;
-    let mut key = String::with_capacity(8 + labels.len() * 4);
-    let _ = write!(key, "p{count}:");
-    for label in labels {
-        let _ = write!(key, ".{label}");
-    }
-    key
+/// One query path as the shared fold sees it: the trie payload of its label
+/// sequence, of which only the graphs recording at least `min_count`
+/// traversals are posted.
+struct TriePosting<'a> {
+    labels: &'a [Label],
+    payload: &'a BTreeMap<GraphId, PathEntry>,
+    min_count: u32,
 }
 
-/// The cached counterpart of the GGSX/Grapes trie fold (the two methods
-/// share trie contents and pruning rule): each path feature is looked up in
-/// the cross-query store first and folded blockwise on a hit; on a miss the
-/// trie stream is materialized once into a bitset, published, and folded.
-/// A label sequence absent from every dataset graph is cached as the empty
-/// set — pruning everything on later hits exactly like
-/// [`ArenaFold::prune_all`] does on the miss path.
-pub(crate) fn fold_trie_cached(
+impl Posting for TriePosting<'_> {
+    /// The payload size bounds the posting length and is free to read.
+    fn len(&self) -> usize {
+        self.payload.len()
+    }
+
+    fn ids(&self) -> impl Iterator<Item = GraphId> + '_ {
+        self.payload
+            .iter()
+            .filter(|(_, entry)| entry.count >= self.min_count)
+            .map(|(&gid, _)| gid)
+    }
+
+    /// The required occurrence count plus the label sequence.
+    fn cache_key(&self) -> String {
+        use std::fmt::Write as _;
+        let mut key = String::with_capacity(8 + self.labels.len() * 4);
+        let _ = write!(key, "p{}:", self.min_count);
+        for label in self.labels {
+            let _ = write!(key, ".{label}");
+        }
+        key
+    }
+}
+
+/// The count-pruning trie fold GGSX and Grapes share (identical trie
+/// contents, identical pruning rule): every query path is looked up once, and
+/// a label sequence no dataset graph has prunes everything.
+pub(crate) fn fold_trie(
     trie: &PathTrie,
-    graph_count: usize,
+    universe: usize,
     query_counts: &BTreeMap<Vec<Label>, u32>,
     out: &mut CandidateSet,
-    ctx: &mut FilterCacheCtx<'_>,
+    ctx: Option<&mut FilterCacheCtx<'_>>,
 ) {
-    // Rarest-first application, matching the uncached trie fold: sort by
-    // the trie payload size (an upper bound on the posting length — cheap
-    // to read even on a cache hit, and identical for both paths so hit and
-    // miss fold in the same order). Absent sequences sort first and prune
-    // everything immediately.
-    let mut ordered: Vec<(&Vec<Label>, u32, usize)> = query_counts
-        .iter()
-        .map(|(labels, &count)| {
-            let payload_len = trie.lookup(labels).map_or(0, |payload| payload.len());
-            (labels, count, payload_len)
+    let postings = query_counts.iter().map(|(labels, &min_count)| {
+        trie.lookup(labels).map(|payload| TriePosting {
+            labels,
+            payload,
+            min_count,
         })
-        .collect();
-    ordered.sort_by_key(|&(_, _, payload_len)| payload_len);
-    let mut fold = ArenaFold::new(out, graph_count);
-    for (labels, query_count, _) in ordered {
-        let key = path_feature_key(labels, query_count);
-        let cached = match ctx.get(&key) {
-            Some(set) => set,
-            None => {
-                let mut set = CandidateSet::empty(graph_count);
-                if let Some(matching) = trie.candidates_with_count(labels, query_count) {
-                    for gid in matching {
-                        set.insert(gid);
-                    }
-                }
-                let set = Arc::new(set);
-                ctx.put(key, Arc::clone(&set));
-                set
-            }
-        };
-        if !fold.apply_set(&cached) {
-            return;
-        }
-    }
-    fold.finish();
+    });
+    fold_rarest_first(out, universe, postings, ctx);
 }
 
 /// The GraphGrepSX index.
@@ -131,10 +120,18 @@ impl GgsxIndex {
         counts
     }
 
+    /// The filtering stage behind both trait entry points. An empty query
+    /// has no path, applies no constraint and finishes as the full set — so
+    /// the tombstone mask goes last.
+    fn fold(&self, query: &Graph, out: &mut CandidateSet, ctx: Option<&mut FilterCacheCtx<'_>>) {
+        let query_counts = Self::query_path_counts(query, self.config.max_path_edges);
+        fold_trie(&self.trie, self.graph_count, &query_counts, out, ctx);
+        self.tombstones.apply(out);
+    }
+
     /// The seed's `Vec`-per-feature filtering, kept verbatim as the
     /// reference implementation the bitset engine is property-tested
-    /// against and as the baseline of the `micro_candidates` benchmark.
-    /// Not part of the query path.
+    /// against. Not part of the query path.
     #[doc(hidden)]
     pub fn filter_reference(&self, query: &Graph) -> Vec<GraphId> {
         let query_counts = Self::query_path_counts(query, self.config.max_path_edges);
@@ -192,38 +189,7 @@ impl GraphIndex for GgsxIndex {
     }
 
     fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        let query_counts = Self::query_path_counts(query, self.config.max_path_edges);
-        // The borrowed arena is narrowed in place, one feature stream at a
-        // time — no per-feature (or per-query) Vec. An empty query applies
-        // no constraint and finishes as the full set. The early returns
-        // leave the set empty, so the tombstone mask only matters on the
-        // completed fold.
-        //
-        // Every path is looked up once; a miss prunes everything before any
-        // fold work. The hits fold rarest-first (smallest trie payload
-        // first — the payload size bounds the posting length), so the set
-        // collapses toward its final cardinality after one application.
-        let mut fold = ArenaFold::new(out, self.graph_count);
-        let mut matched = Vec::with_capacity(query_counts.len());
-        for (labels, &query_count) in query_counts.iter() {
-            let Some(payload) = self.trie.lookup(labels) else {
-                fold.prune_all();
-                return;
-            };
-            matched.push((payload, query_count));
-        }
-        matched.sort_by_key(|(payload, _)| payload.len());
-        for (payload, query_count) in matched {
-            let matching = payload
-                .iter()
-                .filter(move |(_, entry)| entry.count >= query_count)
-                .map(|(&gid, _)| gid);
-            if !fold.apply_sorted(matching) {
-                return;
-            }
-        }
-        fold.finish();
-        self.tombstones.apply(out);
+        self.fold(query, out, None);
     }
 
     fn filter_into_cached(
@@ -232,9 +198,7 @@ impl GraphIndex for GgsxIndex {
         out: &mut CandidateSet,
         ctx: &mut FilterCacheCtx<'_>,
     ) {
-        let query_counts = Self::query_path_counts(query, self.config.max_path_edges);
-        fold_trie_cached(&self.trie, self.graph_count, &query_counts, out, ctx);
-        self.tombstones.apply(out);
+        self.fold(query, out, Some(ctx));
     }
 
     fn stats(&self) -> IndexStats {
@@ -292,7 +256,7 @@ mod tests {
         let ds = dataset();
         let idx = GgsxIndex::build(&ds, GgsxConfig::default());
         let q = query(&[1, 2], &[(0, 1)]);
-        let candidates = idx.filter(&q);
+        let candidates = idx.query(&ds, &q).candidates;
         let answers = exhaustive_answers(&ds, &q);
         for a in &answers {
             assert!(candidates.contains(a), "answer {a} missing from candidates");
@@ -323,7 +287,7 @@ mod tests {
         let ds = dataset();
         let idx = GgsxIndex::build(&ds, GgsxConfig::default());
         let q = query(&[7, 8], &[(0, 1)]);
-        assert!(idx.filter(&q).is_empty());
+        assert!(idx.query(&ds, &q).candidates.is_empty());
     }
 
     #[test]
@@ -334,7 +298,7 @@ mod tests {
         let ds = dataset();
         let idx = GgsxIndex::build(&ds, GgsxConfig::default());
         let q = query(&[2, 1, 1], &[(0, 1), (0, 2)]);
-        let candidates = idx.filter(&q);
+        let candidates = idx.query(&ds, &q).candidates;
         assert!(
             !candidates.contains(&1),
             "path graph should be pruned by counts"
@@ -347,7 +311,7 @@ mod tests {
         let ds = dataset();
         let idx = GgsxIndex::build(&ds, GgsxConfig::default());
         let q = Graph::new("empty");
-        assert_eq!(idx.filter(&q), vec![0, 1, 2]);
+        assert_eq!(idx.query(&ds, &q).candidates, vec![0, 1, 2]);
     }
 
     #[test]
@@ -385,7 +349,10 @@ mod tests {
         }
         // The empty query takes the unconstrained → full-set path: only the
         // tombstone mask keeps the dead id out.
-        assert_eq!(idx.filter(&Graph::new("empty")), vec![0, 2, 3]);
+        assert_eq!(
+            idx.query(&ds, &Graph::new("empty")).candidates,
+            vec![0, 2, 3]
+        );
     }
 
     #[test]

@@ -15,14 +15,13 @@
 //! retained by mining simply contribute no constraint. Verification uses the
 //! shared VF2 first-match verifier.
 
-use crate::candidates::{ArenaFold, CandidateSet, Tombstones};
+use crate::candidates::{fold_rarest_first, CandidateSet, SlicePosting, Tombstones};
 use crate::config::GIndexConfig;
 use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
-use sqbench_features::mining::{FeatureKind, FrequentFeature, MinedFeatures, MiningConfig};
+use sqbench_features::mining::{FeatureKind, MinedFeatures, MiningConfig};
 use sqbench_features::FrequentMiner;
 use sqbench_graph::{Dataset, Graph, GraphId};
-use std::sync::Arc;
 
 /// The gIndex index.
 #[derive(Debug, Clone)]
@@ -82,6 +81,30 @@ impl GIndex {
             discriminative_ratio: self.config.discriminative_ratio,
             kind: FeatureKind::Subgraph,
         }
+    }
+
+    /// The filtering stage behind both trait entry points: the query's
+    /// fragments are enumerated with the build-time enumerator and the
+    /// supports of those the index retained are folded ("f:" cache keys).
+    /// Fragments absent from the index impose no constraint (mining may have
+    /// pruned them as infrequent or non-discriminative), so a query none of
+    /// whose fragments are indexed finishes as the full set — hence the
+    /// tombstone mask last.
+    fn fold(&self, query: &Graph, out: &mut CandidateSet, ctx: Option<&mut FilterCacheCtx<'_>>) {
+        let miner = FrequentMiner::new(self.mining_config());
+        let query_fragments = miner.enumerate_graph(query);
+        let postings = query_fragments
+            .keys()
+            .filter_map(|key| self.features.get(key))
+            .map(|feature| {
+                Some(SlicePosting {
+                    tag: 'f',
+                    key: feature.key.as_str(),
+                    ids: &feature.supporting_graphs,
+                })
+            });
+        fold_rarest_first(out, self.graph_count, postings, ctx);
+        self.tombstones.apply(out);
     }
 
     /// The seed's `Vec`-per-feature filtering, kept verbatim as the
@@ -151,32 +174,7 @@ impl GraphIndex for GIndex {
     }
 
     fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        // Enumerate the query's fragments with the same enumerator used at
-        // build time, then intersect the id lists of those present in the
-        // index. Fragments absent from the index impose no constraint (they
-        // may have been pruned as infrequent or non-discriminative); a query
-        // none of whose fragments are indexed finishes as the full set.
-        //
-        // Matched features fold rarest-first (shortest support list first):
-        // intersection commutes, so the result is bit-identical to canonical
-        // key order, but the set narrows to its final size after the first
-        // application and every later retain_sorted streams over a
-        // near-minimal set — with far more frequent empty short-circuits.
-        let miner = FrequentMiner::new(self.mining_config());
-        let query_fragments = miner.enumerate_graph(query);
-        let mut matched: Vec<&FrequentFeature> = query_fragments
-            .keys()
-            .filter_map(|key| self.features.get(key))
-            .collect();
-        matched.sort_by_key(|f| f.supporting_graphs.len());
-        let mut fold = ArenaFold::new(out, self.graph_count);
-        for feature in matched {
-            if !fold.apply_sorted(feature.supporting_graphs.iter().copied()) {
-                return;
-            }
-        }
-        fold.finish();
-        self.tombstones.apply(out);
+        self.fold(query, out, None);
     }
 
     fn filter_into_cached(
@@ -185,39 +183,7 @@ impl GraphIndex for GIndex {
         out: &mut CandidateSet,
         ctx: &mut FilterCacheCtx<'_>,
     ) {
-        // Same fragment enumeration as `filter_into`; only *indexed*
-        // fragments are probed in the cache (unindexed ones impose no
-        // constraint either way), keyed by their canonical feature key.
-        // Mined supports are frozen at build time, so a cached bitset is
-        // valid for the index's lifetime. Features fold rarest-first, like
-        // the uncached path.
-        let miner = FrequentMiner::new(self.mining_config());
-        let query_fragments = miner.enumerate_graph(query);
-        let mut matched: Vec<&FrequentFeature> = query_fragments
-            .keys()
-            .filter_map(|key| self.features.get(key))
-            .collect();
-        matched.sort_by_key(|f| f.supporting_graphs.len());
-        let mut fold = ArenaFold::new(out, self.graph_count);
-        for feature in matched {
-            let cache_key = format!("f:{}", feature.key.as_str());
-            let cached = match ctx.get(&cache_key) {
-                Some(set) => set,
-                None => {
-                    let set = Arc::new(CandidateSet::from_sorted_ids(
-                        self.graph_count,
-                        &feature.supporting_graphs,
-                    ));
-                    ctx.put(cache_key, Arc::clone(&set));
-                    set
-                }
-            };
-            if !fold.apply_set(&cached) {
-                return;
-            }
-        }
-        fold.finish();
-        self.tombstones.apply(out);
+        self.fold(query, out, Some(ctx));
     }
 
     fn stats(&self) -> IndexStats {
@@ -288,7 +254,7 @@ mod tests {
             (vec![2, 1, 1], vec![(0, 1), (0, 2)]),
         ] {
             let q = query(&labels, &edges);
-            let candidates = idx.filter(&q);
+            let candidates = idx.query(&ds, &q).candidates;
             for a in exhaustive_answers(&ds, &q) {
                 assert!(candidates.contains(&a), "answer missing for {labels:?}");
             }
@@ -315,7 +281,7 @@ mod tests {
         let ds = dataset();
         let idx = GIndex::build(&ds, test_config());
         let q = query(&[1, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
-        let candidates = idx.filter(&q);
+        let candidates = idx.query(&ds, &q).candidates;
         // Only the triangle graph contains the triangle fragment; with the
         // discriminative filter disabled the fragment is indexed, so the
         // other graphs are pruned at filtering time.

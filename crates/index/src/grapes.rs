@@ -23,10 +23,10 @@
 //! match (the original GRAPES code enumerated all matches; the authors
 //! patched it for the study, and we implement the patched semantics).
 
-use crate::candidates::{ArenaFold, CandidateSet, Tombstones};
+use crate::candidates::{CandidateSet, Tombstones};
 use crate::config::GrapesConfig;
 use crate::fcache::FilterCacheCtx;
-use crate::ggsx::{fold_trie_cached, GgsxIndex};
+use crate::ggsx::{fold_trie, GgsxIndex};
 use crate::path_trie::PathTrie;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_features::paths::for_each_path;
@@ -108,32 +108,14 @@ impl GrapesIndex {
         &self.config
     }
 
-    /// The count-pruning fold over already-enumerated query path counts.
-    fn fold_candidates(&self, query_counts: &BTreeMap<Vec<Label>, u32>, out: &mut CandidateSet) {
-        // Rarest-first fold, mirroring GGSX: every path payload is looked
-        // up once (a miss prunes everything immediately) and the hits are
-        // applied smallest-payload-first so the set narrows to near its
-        // final cardinality after the first application.
-        let mut fold = ArenaFold::new(out, self.graph_count);
-        let mut matched = Vec::with_capacity(query_counts.len());
-        for (labels, &query_count) in query_counts.iter() {
-            let Some(payload) = self.trie.lookup(labels) else {
-                fold.prune_all();
-                return;
-            };
-            matched.push((payload, query_count));
-        }
-        matched.sort_by_key(|(payload, _)| payload.len());
-        for (payload, query_count) in matched {
-            let matching = payload
-                .iter()
-                .filter(move |(_, entry)| entry.count >= query_count)
-                .map(|(&gid, _)| gid);
-            if !fold.apply_sorted(matching) {
-                return;
-            }
-        }
-        fold.finish();
+    /// The filtering stage behind both trait entry points: the same
+    /// count-pruning trie fold as GGSX, then the tombstone mask. Location
+    /// information is *not* computed (or cached) here — `verify_set`
+    /// recovers it from the trie for the surviving candidates only.
+    fn fold(&self, query: &Graph, out: &mut CandidateSet, ctx: Option<&mut FilterCacheCtx<'_>>) {
+        let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
+        fold_trie(&self.trie, self.graph_count, &query_counts, out, ctx);
+        self.tombstones.apply(out);
     }
 
     /// Location pass: unions the start vertices of every query path over the
@@ -231,13 +213,7 @@ impl GraphIndex for GrapesIndex {
     }
 
     fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        // Same count-pruning fold as GGSX (identical trie contents); the
-        // location information is *not* computed here — `verify_set`
-        // recovers it from the trie for the surviving candidates only, so
-        // the borrowed-set fast path stays allocation-free.
-        let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
-        self.fold_candidates(&query_counts, out);
-        self.tombstones.apply(out);
+        self.fold(query, out, None);
     }
 
     fn filter_into_cached(
@@ -246,12 +222,7 @@ impl GraphIndex for GrapesIndex {
         out: &mut CandidateSet,
         ctx: &mut FilterCacheCtx<'_>,
     ) {
-        // The candidate bits come from the same count-pruning fold as GGSX,
-        // so the cached fold is shared too; the location information stays
-        // a verification-time concern and is never cached.
-        let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
-        fold_trie_cached(&self.trie, self.graph_count, &query_counts, out, ctx);
-        self.tombstones.apply(out);
+        self.fold(query, out, Some(ctx));
     }
 
     fn verify_set(
@@ -420,7 +391,7 @@ mod tests {
             },
         );
         let q = query(&[1, 2], &[(0, 1)]);
-        assert_eq!(seq.filter(&q), par.filter(&q));
+        assert_eq!(seq.query(&ds, &q).candidates, par.query(&ds, &q).candidates);
         assert_eq!(seq.stats().distinct_features, par.stats().distinct_features);
         assert_eq!(seq.trie.inserted_paths(), par.trie.inserted_paths());
     }
@@ -479,8 +450,8 @@ mod tests {
             (vec![1, 1, 2], vec![(0, 1), (1, 2)]),
         ] {
             let q = query(&labels, &edges);
-            let gc = grapes.filter(&q);
-            let xc = ggsx.filter(&q);
+            let gc = grapes.query(&ds, &q).candidates;
+            let xc = ggsx.query(&ds, &q).candidates;
             for gid in &gc {
                 assert!(xc.contains(gid));
             }
@@ -518,7 +489,7 @@ mod tests {
         let ds = dataset();
         let idx = GrapesIndex::build(&ds, GrapesConfig::default());
         let q = query(&[9, 9], &[(0, 1)]);
-        assert!(idx.filter(&q).is_empty());
+        assert!(idx.query(&ds, &q).candidates.is_empty());
     }
 
     #[test]

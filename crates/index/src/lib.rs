@@ -5,11 +5,11 @@
 //!
 //! | Method | Features | Extraction | Index structure | Location info | Borrowed-set filter ([`GraphIndex::filter_into`]) |
 //! |---|---|---|---|---|---|
-//! | [`grapes::GrapesIndex`] | paths | exhaustive | trie | yes (start vertices) | [`candidates::ArenaFold`] over trie payloads |
-//! | [`ggsx::GgsxIndex`] (GraphGrepSX) | paths | exhaustive | suffix-tree-style trie | no (counts only) | [`candidates::ArenaFold`] over trie payloads |
+//! | [`grapes::GrapesIndex`] | paths | exhaustive | trie | yes (start vertices) | the shared fold over trie payloads |
+//! | [`ggsx::GgsxIndex`] (GraphGrepSX) | paths | exhaustive | suffix-tree-style trie | no (counts only) | the shared fold over trie payloads |
 //! | [`ctindex::CtIndex`] | trees + cycles | exhaustive | hashed bit fingerprints | no | direct id-ordered scan, bits set in place |
-//! | [`gindex::GIndex`] | subgraphs | frequent mining | feature map (prefix-tree order) | no | [`candidates::ArenaFold`] over posting lists |
-//! | [`treedelta::TreeDeltaIndex`] | trees (+ on-demand cycles) | frequent mining | hash map | no | [`candidates::ArenaFold`] over tree + Δ posting lists |
+//! | [`gindex::GIndex`] | subgraphs | frequent mining | feature map (prefix-tree order) | no | the shared fold over mined supports |
+//! | [`treedelta::TreeDeltaIndex`] | trees (+ on-demand cycles) | frequent mining | hash map | no | the shared fold over tree, then Δ supports |
 //! | [`gcode::GCodeIndex`] | paths (encoded) | exhaustive | spectral vertex/graph signatures | no | direct id-ordered scan, bits set in place |
 //! | [`scan::ScanBaseline`] (baseline) | — | — | none | no | arena reset to the full set |
 //!
@@ -19,17 +19,15 @@
 //! query time and false positive ratio — the four metrics reported in the
 //! paper.
 //!
-//! The filtering stage of every intersection-based method runs on the shared
-//! bitset engine in [`candidates`]: per-feature id streams narrow one dense
-//! [`candidates::CandidateSet`] in place. Since the borrowed-set refactor the
-//! primary entry point is [`GraphIndex::filter_into`], which narrows a
-//! **caller-owned** arena set — a query service hands each worker's reusable
-//! arena to it, so serving a query allocates no candidate `Vec` and no fresh
-//! bitset. The legacy [`GraphIndex::filter`] survives as a thin wrapper that
-//! materializes the arena as the sorted `Vec<GraphId>` the original contract
-//! promised. CT-Index and gCode scan per-graph structures in id order and
-//! have no intersection stage; their `filter_into` sets the matching bits
-//! directly.
+//! The filtering stage of every intersection-based method is one routine in
+//! [`candidates`]: the method describes its query's postings, and the shared
+//! rarest-first fold narrows one dense [`candidates::CandidateSet`] in place
+//! over [`candidates::ArenaFold`]. The entry point is
+//! [`GraphIndex::filter_into`], which narrows a **caller-owned** arena set —
+//! a query service hands each worker's reusable arena to it, so serving a
+//! query allocates no candidate `Vec` and no fresh bitset. CT-Index and gCode
+//! scan per-graph structures in id order and have no intersection stage;
+//! their `filter_into` sets the matching bits directly.
 //!
 //! ## The borrowed-set filter contract
 //!
@@ -41,8 +39,9 @@
 //!    [`candidates::CandidateSet::reset_empty`] /
 //!    [`candidates::CandidateSet::reset_full`] or
 //!    [`candidates::ArenaFold`], which do this);
-//! 2. leave exactly the filtering-stage candidates set, bit-identical to
-//!    what the legacy `filter()` returns as a sorted `Vec`;
+//! 2. leave exactly the filtering-stage candidates set — a dirty arena and
+//!    a fresh one end bit-identical, and equal to the sorted-`Vec`
+//!    `filter_reference` oracle where a method keeps one;
 //! 3. allocate nothing proportional to the candidate count.
 //!
 //! ## Cross-query feature caching
@@ -50,12 +49,15 @@
 //! [`GraphIndex::filter_into_cached`] is the cache-aware twin of
 //! `filter_into`: a serving layer may hand it a [`fcache::FilterCacheCtx`]
 //! over a shared [`fcache::FeatureCacheStore`], and the posting-fold
-//! methods (Grapes, GGSX, gIndex, Tree+Δ) then reuse hot per-feature
+//! methods (Grapes, GGSX, gIndex, Tree+Δ) then fold hot per-feature
 //! bitsets via [`candidates::ArenaFold::apply_set`] instead of re-walking
-//! their tries and feature maps. The contract is unchanged: cached and
-//! uncached filtering produce bit-identical candidate sets. Methods whose
-//! filters are direct id-ordered scans (CT-Index, gCode, the scan
-//! baseline) explicitly opt out by delegating to `filter_into`.
+//! their trie payloads and support lists. Behind the two trait methods each
+//! of those methods has a single fold; the cache is an optional argument to
+//! it, not a second implementation, and cached and uncached filtering
+//! produce bit-identical candidate sets. Methods whose filters are direct
+//! id-ordered scans (CT-Index, gCode, the scan baseline) have no
+//! per-feature posting lists to cache and keep the trait default, which
+//! ignores the cache.
 //!
 //! ## Online ingest
 //!
@@ -92,7 +94,7 @@ pub mod treedelta;
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_iso::{MatchState, Vf2Matcher};
 
-pub use candidates::{ArenaFold, CandidateFold, CandidateSet, PostingList, Tombstones};
+pub use candidates::{ArenaFold, CandidateSet, PostingList, Tombstones};
 pub use config::{
     CtIndexConfig, GCodeConfig, GIndexConfig, GgsxConfig, GrapesConfig, MethodConfig,
     TreeDeltaConfig,
@@ -184,11 +186,11 @@ pub struct IndexStats {
 /// Indexes are built once over a [`Dataset`] (by each method's `build`
 /// constructor) and then answer any number of subgraph queries. Each method
 /// implements the borrowed-set filtering entry point [`GraphIndex::filter_into`]
-/// (see the module docs for the contract); `filter` and `query` are thin
-/// default wrappers that no method overrides. The default
-/// [`GraphIndex::verify_set`] uses the VF2 first-match verifier the paper
-/// standardizes on; Grapes and CT-Index override it with their specialized
-/// procedures, and Tree+Δ hooks query-time feature learning into it.
+/// (see the module docs for the contract); `query` is a thin default wrapper
+/// that no method overrides. The default [`GraphIndex::verify_set`] uses the
+/// VF2 first-match verifier the paper standardizes on; Grapes and CT-Index
+/// override it with their specialized procedures, and Tree+Δ hooks
+/// query-time feature learning into it.
 pub trait GraphIndex: Send + Sync {
     /// Which method this index implements.
     fn kind(&self) -> MethodKind;
@@ -228,18 +230,14 @@ pub trait GraphIndex: Send + Sync {
     /// be **bit-identical** to `filter_into` — the cache only changes how
     /// the same bits are produced, never which bits.
     ///
-    /// Every method either participates or explicitly opts out:
-    ///
-    /// * **participate** — GGSX, Grapes, gIndex and Tree+Δ override this to
-    ///   fold cached bitsets via [`ArenaFold::apply_set`] (miss →
-    ///   materialize once, insert, fold);
-    /// * **opt out** — CT-Index, gCode and the scan baseline override this
-    ///   to delegate straight to `filter_into`: their filters are direct
-    ///   id-ordered scans with no per-feature posting lists to cache, so a
-    ///   cache could only add probe overhead.
-    ///
-    /// The default delegates (opt-out), so a new method is correct before
-    /// it is cache-aware.
+    /// This stays a second trait method, rather than an `Option` argument
+    /// of `filter_into`, because the repo's benchmark crate calls both
+    /// signatures and is frozen. The fork ends here: GGSX, Grapes, gIndex
+    /// and Tree+Δ forward both methods to one private fold that takes the
+    /// context as an `Option`. The default ignores the cache — right for
+    /// filters that are direct id-ordered scans with no per-feature posting
+    /// lists (CT-Index, gCode, the scan baseline), and for a new method
+    /// before it is cache-aware.
     fn filter_into_cached(
         &self,
         query: &Graph,
@@ -248,16 +246,6 @@ pub trait GraphIndex: Send + Sync {
     ) {
         let _ = ctx;
         self.filter_into(query, out);
-    }
-
-    /// Legacy filtering stage: returns the sorted candidate set for `query`
-    /// as an owned `Vec`. Thin compatibility wrapper over
-    /// [`GraphIndex::filter_into`] that allocates a fresh arena and
-    /// materializes it once.
-    fn filter(&self, query: &Graph) -> Vec<GraphId> {
-        let mut out = CandidateSet::empty(self.universe());
-        self.filter_into(query, &mut out);
-        out.to_sorted_vec()
     }
 
     /// Index statistics (feature count, size in bytes).
@@ -433,10 +421,9 @@ pub fn build_index(
 
 /// Intersects two sorted id lists with the textbook linear merge.
 ///
-/// This is the engine the seed implementation used for every per-feature
-/// intersection; it is kept as the reference implementation the
-/// [`candidates`] bitset engine is property-tested against, and as the
-/// baseline of the `micro_candidates` benchmark.
+/// The reference implementation the [`candidates`] bitset engine is
+/// property-tested against, and the baseline of the `micro_candidates`
+/// benchmark.
 pub fn intersect_sorted(a: &[GraphId], b: &[GraphId]) -> Vec<GraphId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);

@@ -126,24 +126,6 @@ impl PathTrie {
         }
     }
 
-    /// Streams, in ascending graph-id order, the graphs whose payload at
-    /// `labels` records at least `min_count` traversals — the posting list
-    /// the filtering stage feeds into a
-    /// [`crate::candidates::CandidateSet`] without materializing a `Vec`.
-    /// `None` when no dataset path has this label sequence.
-    pub fn candidates_with_count(
-        &self,
-        labels: &[Label],
-        min_count: u32,
-    ) -> Option<impl Iterator<Item = GraphId> + '_> {
-        self.lookup(labels).map(move |payload| {
-            payload
-                .iter()
-                .filter(move |(_, entry)| entry.count >= min_count)
-                .map(|(&gid, _)| gid)
-        })
-    }
-
     /// Merges another trie into this one, consuming it (used by Grapes'
     /// parallel build: each worker thread builds a partial trie over its
     /// share of the dataset, then the partial tries are merged). Payloads

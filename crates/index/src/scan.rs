@@ -10,7 +10,6 @@
 //! is useful in ablations ("how much does filtering actually buy?").
 
 use crate::candidates::{CandidateSet, Tombstones};
-use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_graph::{Dataset, Graph, GraphId};
 
@@ -59,17 +58,6 @@ impl GraphIndex for ScanBaseline {
         // queries without a per-query allocation.
         out.reset_full(self.graph_count);
         self.tombstones.apply(out);
-    }
-
-    fn filter_into_cached(
-        &self,
-        query: &Graph,
-        out: &mut CandidateSet,
-        _ctx: &mut FilterCacheCtx<'_>,
-    ) {
-        // Explicit opt-out: the baseline has no features to cache — its
-        // "filter" is a constant-time arena reset, which no cache can beat.
-        self.filter_into(query, out);
     }
 
     fn stats(&self) -> IndexStats {

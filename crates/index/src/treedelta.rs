@@ -17,7 +17,9 @@
 //! grows — and its filtering improves — as the workload exercises cyclic
 //! queries.
 
-use crate::candidates::{ArenaFold, CandidateSet, PostingList, Tombstones};
+use crate::candidates::{
+    fold_rarest_first, narrow_rarest_first, CandidateSet, PostingList, SlicePosting, Tombstones,
+};
 use crate::config::TreeDeltaConfig;
 use crate::fcache::FilterCacheCtx;
 use crate::{vf2_verify, GraphIndex, IndexStats, MethodKind};
@@ -29,7 +31,7 @@ use sqbench_features::FrequentMiner;
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_iso::{MatchState, Vf2Matcher};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// One learned Δ feature: the cycle fragment is kept alongside its support
 /// so online inserts can test new graphs for containment and keep the
@@ -119,35 +121,52 @@ impl TreeDeltaIndex {
         trees_ok && delta.values().all(|f| f.support.is_strictly_ascending())
     }
 
-    /// Tree-only filtering (no Δ lookup); exposed for tests and ablations.
-    pub fn filter_trees_only(&self, query: &Graph) -> Vec<GraphId> {
-        let mut set = CandidateSet::empty(self.graph_count);
-        self.tree_candidates_into(query, &mut set);
-        self.tombstones.apply(&mut set);
-        set.to_sorted_vec()
-    }
-
-    /// The tree-feature stage, folded into a borrowed arena: one bitset
-    /// narrowed in place per indexed subtree's posting list (unconstrained
-    /// queries get the full set).
-    fn tree_candidates_into(&self, query: &Graph, out: &mut CandidateSet) {
-        // Rarest-first fold (see gIndex): intersection commutes, so sorting
-        // the matched subtrees by support length changes only the work, not
-        // the result.
+    /// The filtering stage behind both trait entry points, two folds over
+    /// one borrowed bitset. Tree stage ("t:" cache keys): the supports of
+    /// the query's indexed subtrees, frozen at build time like gIndex's; no
+    /// indexed subtree means the full set. Δ stage ("d:" keys): the supports
+    /// of the query's already-learned cycles narrow what the trees left; a
+    /// cycle not (yet) in the map imposes nothing. Δ supports are sound to
+    /// cache although the map grows: the serving layer flushes the cache on
+    /// every mutation, so within one cache epoch a learned support is final.
+    ///
+    /// The tombstone mask sits *between* the stages, not last: the Δ stage
+    /// is skipped outright while the map is empty (or nothing is left to
+    /// narrow), and it only ever clears bits, so masking before it equals
+    /// masking after it.
+    fn fold(
+        &self,
+        query: &Graph,
+        out: &mut CandidateSet,
+        mut ctx: Option<&mut FilterCacheCtx<'_>>,
+    ) {
         let query_trees = query_trees(query, self.config.max_feature_edges);
-        let mut matched: Vec<&Vec<GraphId>> = query_trees
+        let trees = query_trees
             .keys()
             .filter_map(|key| self.tree_features.get(key))
-            .map(|feature| &feature.supporting_graphs)
-            .collect();
-        matched.sort_by_key(|support| support.len());
-        let mut fold = ArenaFold::new(out, self.graph_count);
-        for support in matched {
-            if !fold.apply_sorted(support.iter().copied()) {
-                return;
-            }
+            .map(|feature| {
+                Some(SlicePosting {
+                    tag: 't',
+                    key: feature.key.as_str(),
+                    ids: &feature.supporting_graphs,
+                })
+            });
+        fold_rarest_first(out, self.graph_count, trees, ctx.as_deref_mut());
+        self.tombstones.apply(out);
+        let delta = self.delta_features.read().expect("delta lock poisoned");
+        if delta.is_empty() || out.is_empty() {
+            return;
         }
-        fold.finish();
+        let learned = enumerate_cycle_instances(query, self.config.max_cycle_edges)
+            .iter()
+            .filter_map(|cycle| delta.get_key_value(&cycle.key))
+            .map(|(key, feature)| SlicePosting {
+                tag: 'd',
+                key: key.as_str(),
+                ids: feature.support.as_slice(),
+            })
+            .collect();
+        narrow_rarest_first(out, learned, ctx);
     }
 
     /// The seed's `Vec`-per-feature filtering (trees, then learned Δ
@@ -181,28 +200,6 @@ impl TreeDeltaIndex {
             }
         }
         candidates
-    }
-
-    /// Applies any already-learned Δ features to the candidate set in place.
-    fn apply_delta(&self, query: &Graph, candidates: &mut CandidateSet) {
-        let delta = self.delta_features.read().expect("delta lock poisoned");
-        if delta.is_empty() {
-            return;
-        }
-        // Rarest-first over the matched Δ features, for the same reason the
-        // tree fold sorts: the narrowest support empties the set soonest.
-        let mut matched: Vec<&DeltaFeature> =
-            enumerate_cycle_instances(query, self.config.max_cycle_edges)
-                .iter()
-                .filter_map(|cycle| delta.get(&cycle.key))
-                .collect();
-        matched.sort_by_key(|feature| feature.support.len());
-        for feature in matched {
-            feature.support.intersect_into(candidates);
-            if candidates.is_empty() {
-                break;
-            }
-        }
     }
 
     /// The Δ step: for each simple cycle of the query not yet in the Δ
@@ -342,14 +339,7 @@ impl GraphIndex for TreeDeltaIndex {
     }
 
     fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        // Trees first, then the tombstone mask (the tree stage's
-        // unconstrained fallback is the full set), then any Δ features
-        // already learned — one borrowed bitset narrowed in place, never
-        // materialized here. Δ intersections only clear bits, so masking
-        // before them is equivalent to masking last.
-        self.tree_candidates_into(query, out);
-        self.tombstones.apply(out);
-        self.apply_delta(query, out);
+        self.fold(query, out, None);
     }
 
     fn filter_into_cached(
@@ -358,68 +348,7 @@ impl GraphIndex for TreeDeltaIndex {
         out: &mut CandidateSet,
         ctx: &mut FilterCacheCtx<'_>,
     ) {
-        // Tree stage: the mined tree supports are frozen at build time, so
-        // each indexed subtree's posting list caches like gIndex's
-        // fragments ("t:" keys).
-        let query_trees = query_trees(query, self.config.max_feature_edges);
-        let mut matched: Vec<&sqbench_features::mining::FrequentFeature> = query_trees
-            .keys()
-            .filter_map(|key| self.tree_features.get(key))
-            .collect();
-        matched.sort_by_key(|feature| feature.supporting_graphs.len());
-        let mut fold = ArenaFold::new(out, self.graph_count);
-        for feature in matched {
-            let cache_key = format!("t:{}", feature.key.as_str());
-            let cached = match ctx.get(&cache_key) {
-                Some(set) => set,
-                None => {
-                    let set = Arc::new(CandidateSet::from_sorted_ids(
-                        self.graph_count,
-                        &feature.supporting_graphs,
-                    ));
-                    ctx.put(cache_key, Arc::clone(&set));
-                    set
-                }
-            };
-            if !fold.apply_set(&cached) {
-                return;
-            }
-        }
-        fold.finish();
-        // Mask tombstones before the Δ stage: its early return on an empty
-        // map would otherwise skip an end-of-method mask, and the Δ
-        // intersections below only clear bits, never set them.
-        self.tombstones.apply(out);
-        // Δ stage ("d:" keys): sound to cache despite the growing Δ map,
-        // because the serving layer flushes the cache on every mutation, so
-        // within one cache epoch a Δ feature's support is final — a key only
-        // enters the cache after it entered the map. A cycle not (yet) in
-        // the map is simply not probed, exactly like `apply_delta`.
-        let delta = self.delta_features.read().expect("delta lock poisoned");
-        if delta.is_empty() {
-            return;
-        }
-        let mut matched: Vec<(&FeatureKey, &DeltaFeature)> =
-            enumerate_cycle_instances(query, self.config.max_cycle_edges)
-                .iter()
-                .filter_map(|cycle| delta.get_key_value(&cycle.key))
-                .collect();
-        matched.sort_by_key(|(_, feature)| feature.support.len());
-        for (key, feature) in matched {
-            let cache_key = format!("d:{}", key.as_str());
-            let cached = match ctx.get(&cache_key) {
-                Some(set) => set,
-                None => {
-                    let set = Arc::new(feature.support.to_candidate_set(self.graph_count));
-                    ctx.put(cache_key, Arc::clone(&set));
-                    set
-                }
-            };
-            out.intersect_with(&cached);
-            if out.is_empty() {
-                break;
-            }
-        }
+        self.fold(query, out, Some(ctx));
     }
 
     fn stats(&self) -> IndexStats {
@@ -539,7 +468,7 @@ mod tests {
 
         // The same query now benefits from the learned feature at the
         // *filtering* stage: the candidate set shrinks to the true answer.
-        let second_candidates = idx.filter(&q);
+        let second_candidates = idx.query(&ds, &q).candidates;
         assert_eq!(second_candidates, vec![0]);
         let second = idx.query(&ds, &q);
         assert_eq!(second.answers, vec![0]);
@@ -555,17 +484,70 @@ mod tests {
     }
 
     #[test]
-    fn tree_only_filter_is_superset_of_full_filter() {
+    fn tree_stage_alone_is_a_superset_of_the_full_filter() {
         let ds = dataset();
         let idx = TreeDeltaIndex::build(&ds, test_config());
         let q = query(&[1, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
-        let _ = idx.query(&ds, &q); // learn Δ
-        let tree_only = idx.filter_trees_only(&q);
-        let full = idx.filter(&q);
-        for gid in &full {
-            assert!(tree_only.contains(gid));
-        }
-        assert!(full.len() <= tree_only.len());
+        // With nothing learned yet the filter is the tree stage alone; the
+        // same query then teaches the Δ stage its cycle.
+        let tree_only = idx.query(&ds, &q).candidates;
+        assert!(idx.delta_feature_count() >= 1);
+        let full = idx.query(&ds, &q).candidates;
+        assert!(full.iter().all(|gid| tree_only.contains(gid)));
+        assert!(full.len() < tree_only.len());
+    }
+
+    /// Tree+Δ is the one fold that masks tombstones *between* its stages
+    /// rather than last. A removed id must stay out on both arms while the
+    /// Δ map is empty (the stage is skipped) and once it is not — including
+    /// when a learned support, and the bitset cached from it, still list it.
+    #[test]
+    fn removed_ids_never_resurface_before_or_after_learning() {
+        use crate::fcache::tests::MapStore;
+        let mut ds = dataset();
+        let mut idx = TreeDeltaIndex::build(&ds, test_config());
+        let tri_q = query(&[1, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
+        // No tree, no cycle: only the mask stands between a dead id and the
+        // unconstrained full set.
+        let empty_q = Graph::new("empty");
+        let check = |idx: &TreeDeltaIndex, dead: &[GraphId], stage: &str| -> Vec<Vec<GraphId>> {
+            [&tri_q, &empty_q]
+                .map(|q| {
+                    let mut streamed = CandidateSet::full(3);
+                    idx.filter_into(q, &mut streamed);
+                    // Mutations flush the serving cache, so each check
+                    // starts cold; the second pass runs warm.
+                    let store = MapStore::default();
+                    for pass in ["cold", "warm"] {
+                        let mut cached = CandidateSet::full(3);
+                        idx.filter_into_cached(q, &mut cached, &mut FilterCacheCtx::new(&store));
+                        assert_eq!(cached, streamed, "{stage}, {pass}");
+                    }
+                    for id in dead {
+                        assert!(!streamed.contains(*id), "{stage}: dead id {id} resurfaced");
+                    }
+                    streamed.to_sorted_vec()
+                })
+                .to_vec()
+        };
+
+        assert!(ds.remove(1) && idx.remove(1));
+        assert_eq!(idx.delta_feature_count(), 0);
+        assert_eq!(check(&idx, &[1], "Δ map empty")[1], vec![0, 2, 3]);
+
+        let _ = idx.query(&ds, &tri_q); // learns the triangle: support [0]
+        assert!(idx.delta_feature_count() >= 1);
+        let tri2 = GraphBuilder::new("tri2")
+            .vertices(&[1, 1, 2, 2])
+            .edges(&[(0, 1), (1, 2), (2, 0), (2, 3)])
+            .build()
+            .unwrap();
+        assert_eq!(idx.insert(&tri2), ds.push(tri2)); // support [0, 4]
+        assert!(ds.remove(0) && idx.remove(0)); // still listed by the support
+        assert_eq!(
+            check(&idx, &[0, 1], "Δ learned"),
+            vec![vec![4], vec![2, 3, 4]]
+        );
     }
 
     #[test]

@@ -9,13 +9,36 @@
 
 use proptest::prelude::*;
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
-use sqbench_graph::{Dataset, GraphId};
-use sqbench_index::candidates::intersect_posting;
+use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_index::{
     build_index, exhaustive_answers, ggsx::GgsxIndex, gindex::GIndex, intersect_sorted,
-    treedelta::TreeDeltaIndex, CandidateFold, CandidateSet, GraphIndex, MethodConfig, MethodKind,
-    PostingList,
+    treedelta::TreeDeltaIndex, ArenaFold, CandidateSet, FeatureCacheStore, FilterCacheCtx,
+    GraphIndex, MethodConfig, MethodKind,
 };
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+/// Unbounded feature-bitset store: a cache that never evicts, so a second
+/// pass over the same query is fully warm.
+#[derive(Default)]
+struct MapStore(Mutex<HashMap<String, Arc<CandidateSet>>>);
+
+impl FeatureCacheStore for MapStore {
+    fn get(&self, key: &str) -> Option<Arc<CandidateSet>> {
+        self.0.lock().unwrap().get(key).cloned()
+    }
+
+    fn put(&self, key: String, value: Arc<CandidateSet>) {
+        self.0.lock().unwrap().insert(key, value);
+    }
+}
+
+/// `filter_into` on a fresh arena, as a sorted id list.
+fn candidates(index: &dyn GraphIndex, query: &Graph) -> Vec<GraphId> {
+    let mut set = CandidateSet::empty(0);
+    index.filter_into(query, &mut set);
+    set.to_sorted_vec()
+}
 
 /// Generates a small synthetic dataset deterministically from a seed.
 fn dataset_from_seed(seed: u64, graphs: usize, nodes: usize, labels: u32) -> Dataset {
@@ -88,8 +111,8 @@ proptest! {
     }
 
     /// The bitset engine agrees with the seed's sorted-`Vec` engine
-    /// (`intersect_sorted`) on arbitrary id lists: intersection (streamed,
-    /// set-set and galloping), union, membership and sorted iteration.
+    /// (`intersect_sorted`) on arbitrary id lists: intersection (streamed
+    /// and set-set), union, membership and sorted iteration.
     #[test]
     fn candidate_engine_agrees_with_sorted_vec_reference(
         a in sorted_ids(193, 60),
@@ -114,15 +137,6 @@ proptest! {
         uni.union_with(&set_b);
         prop_assert_eq!(uni.to_sorted_vec(), union_sorted(&a, &b));
 
-        // Galloping posting-list intersection.
-        prop_assert_eq!(intersect_posting(&a, &b), expected.clone());
-
-        // PostingList bridge.
-        let posting = PostingList::from_sorted(b.clone());
-        let mut via_posting = CandidateSet::from_sorted_ids(UNIVERSE, &a);
-        posting.intersect_into(&mut via_posting);
-        prop_assert_eq!(via_posting.to_sorted_vec(), expected.clone());
-
         // Iteration is sorted and membership agrees with it.
         let mut last: Option<GraphId> = None;
         for id in streamed.iter() {
@@ -145,20 +159,22 @@ proptest! {
                 Some(current) => intersect_sorted(&current, list),
             });
         }
-        let mut fold = CandidateFold::new(150);
+        let mut arena = CandidateSet::empty(0);
+        let mut fold = ArenaFold::new(&mut arena, 150);
         for list in &lists {
             fold.apply_sorted(list.iter().copied());
         }
-        prop_assert_eq!(fold.into_sorted_vec(), reference.unwrap());
+        fold.finish();
+        prop_assert_eq!(arena.to_sorted_vec(), reference.unwrap());
     }
 
-    /// The borrowed-set contract: `filter_into` must produce candidate sets
-    /// bit-identical to the legacy `filter()` `Vec` contract for all six
-    /// methods plus the scan baseline — *including* when the arena is dirty
-    /// (stale bits, wrong universe) from serving another method's dataset,
-    /// which is exactly how the query service reuses worker arenas.
+    /// The borrowed-set contract, for all six methods plus the scan
+    /// baseline: `filter_into` leaves the same bits in a dirty arena (stale
+    /// bits, wrong universe — left by serving another method's dataset,
+    /// which is exactly how the query service reuses worker arenas) as in a
+    /// fresh one.
     #[test]
-    fn filter_into_bit_identical_to_legacy_filter(seed in 0u64..300) {
+    fn filter_into_dirty_arena_bit_identical_to_fresh(seed in 0u64..300) {
         let ds = dataset_from_seed(seed.wrapping_add(9000), 13, 10, 4);
         let config = MethodConfig::fast();
         let kinds = [
@@ -180,52 +196,59 @@ proptest! {
         let queries = QueryGen::new(seed ^ 0xf11e).generate(&ds, 3, 4);
         for (query, _) in queries.iter() {
             for (kind, index) in &indexes {
-                let legacy = index.filter(query);
+                let mut fresh = CandidateSet::empty(0);
+                index.filter_into(query, &mut fresh);
                 index.filter_into(query, &mut arena);
                 prop_assert_eq!(
                     arena.universe(),
                     index.universe(),
                     "{}: arena not re-targeted", kind.name()
                 );
-                prop_assert_eq!(
-                    arena.to_sorted_vec(),
-                    legacy.clone(),
-                    "{}: borrowed-set filter diverged from legacy filter",
-                    kind.name()
-                );
-                // Bit-identity with a freshly materialized set, not just
-                // id-list equality.
-                let fresh = CandidateSet::from_sorted_ids(index.universe(), &legacy);
                 prop_assert_eq!(&arena, &fresh, "{}: sets not bit-identical", kind.name());
+                prop_assert_eq!(arena.len(), fresh.to_sorted_vec().len());
             }
         }
     }
 
-    /// Migration invariance: the three posting-fold methods produce exactly
-    /// the candidate sets of the seed's `Vec`-based filter (kept as
-    /// `filter_reference`), and Grapes — same pruning rule over the same
-    /// trie contents — matches GGSX. Tree+Δ is checked both before and
-    /// after Δ features are learned.
+    /// The one fold, per method: for the three methods that keep a
+    /// sorted-`Vec` oracle (`filter_reference`), `filter_into` ≡
+    /// `filter_into_cached` on a cold and on a warm cache ≡ the oracle; and
+    /// Grapes — same pruning rule over the same trie contents — matches
+    /// GGSX. Tree+Δ is checked both before and after Δ features are learned.
     #[test]
-    fn method_candidates_unchanged_by_bitset_migration(seed in 0u64..300) {
+    fn fold_methods_agree_with_reference_on_both_arms(seed in 0u64..300) {
         let ds = dataset_from_seed(seed.wrapping_add(5000), 14, 10, 4);
         let config = MethodConfig::fast();
         let ggsx = GgsxIndex::build(&ds, config.ggsx.clone());
         let gindex = GIndex::build(&ds, config.gindex.clone());
         let treedelta = TreeDeltaIndex::build(&ds, config.treedelta.clone());
         let grapes = build_index(MethodKind::Grapes, &config, &ds);
+        let stores = [MapStore::default(), MapStore::default(), MapStore::default()];
         let queries = QueryGen::new(seed ^ 0x51ab).generate(&ds, 3, 4);
         for (query, _) in queries.iter() {
-            prop_assert_eq!(ggsx.filter(query), ggsx.filter_reference(query));
-            prop_assert_eq!(gindex.filter(query), gindex.filter_reference(query));
-            prop_assert_eq!(treedelta.filter(query), treedelta.filter_reference(query));
-            // Grapes applies the identical count-pruning rule to a trie with
-            // identical per-graph counts, so its candidates equal GGSX's
-            // when both use the same path length.
-            prop_assert_eq!(grapes.filter(query), ggsx.filter(query));
-            // Δ learning must not break the reference equivalence.
+            let both_arms = |index: &dyn GraphIndex, store: &MapStore| {
+                let streamed = candidates(index, query);
+                for pass in ["cold", "warm"] {
+                    let mut cached = CandidateSet::full(7);
+                    index.filter_into_cached(query, &mut cached, &mut FilterCacheCtx::new(store));
+                    assert_eq!(
+                        cached.to_sorted_vec(), streamed,
+                        "{}: {} cache diverged", index.kind().name(), pass
+                    );
+                }
+                streamed
+            };
+            prop_assert_eq!(both_arms(&ggsx, &stores[0]), ggsx.filter_reference(query));
+            prop_assert_eq!(both_arms(&gindex, &stores[1]), gindex.filter_reference(query));
+            prop_assert_eq!(both_arms(&treedelta, &stores[2]), treedelta.filter_reference(query));
+            prop_assert_eq!(candidates(&*grapes, query), candidates(&ggsx, query));
+            // Δ learning must not break the equivalences. It mutates the
+            // index, which in serving flushes the cache: start a new store.
             let _ = treedelta.query(&ds, query);
-            prop_assert_eq!(treedelta.filter(query), treedelta.filter_reference(query));
+            prop_assert_eq!(
+                both_arms(&treedelta, &MapStore::default()),
+                treedelta.filter_reference(query)
+            );
         }
     }
 

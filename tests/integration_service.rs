@@ -127,7 +127,7 @@ fn runner_batching_preserves_workload_metrics() {
         &workloads,
         &RunOptions::fast()
             .with_methods(&kinds)
-            .with_query_threads(4),
+            .with_service(ServiceOptions::new().workers(4)),
     );
     for (s, p) in serial.iter().zip(pooled.iter()) {
         assert_eq!(s.method, p.method);
