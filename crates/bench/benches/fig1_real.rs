@@ -7,16 +7,15 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_bench::bench_scale;
 use sqbench_generator::RealDataset;
-use sqbench_harness::experiments::fig1_real;
-use sqbench_harness::report;
+use sqbench_harness::{experiments, report};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
 fn bench_fig1(c: &mut Criterion) {
     let scale = bench_scale();
 
     // Regenerate the Figure 1 series.
-    let figure = fig1_real::run(&scale);
-    println!("{}", report::render_text(&figure));
+    let figure = &experiments::run("fig1_real", &scale)[0];
+    println!("{}", report::render_text(figure));
 
     // Criterion micro-benchmark: index construction per method over the
     // AIDS-like dataset (the regime every method can handle).

@@ -5,16 +5,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_bench::{bench_scale, default_dataset, default_workloads};
-use sqbench_harness::experiments::fig2_nodes;
-use sqbench_harness::report;
+use sqbench_harness::{experiments, report};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
 fn bench_fig2(c: &mut Criterion) {
     let scale = bench_scale();
 
     // Regenerate the Figure 2 series.
-    let figure = fig2_nodes::run(&scale);
-    println!("{}", report::render_text(&figure));
+    let figure = &experiments::run("fig2_nodes", &scale)[0];
+    println!("{}", report::render_text(figure));
 
     // Criterion micro-benchmark: query processing per method at the default
     // point (the candidate-set/verification cost the paper's panel (c) plots).

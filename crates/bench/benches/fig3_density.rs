@@ -7,20 +7,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_bench::bench_scale;
 use sqbench_generator::{GraphGen, GraphGenConfig};
-use sqbench_harness::experiments::fig3_density;
-use sqbench_harness::report;
+use sqbench_harness::{experiments, report};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
 fn bench_fig3(c: &mut Criterion) {
     let scale = bench_scale();
 
-    let figure = fig3_density::run(&scale);
-    println!("{}", report::render_text(&figure));
+    let figure = &experiments::run("fig3_density", &scale)[0];
+    println!("{}", report::render_text(figure));
 
     // Densest point of the sweep.
-    let densest = *fig3_density::sweep_for(&scale)
-        .last()
-        .expect("sweep is non-empty");
+    let densest = figure.points.last().expect("sweep is non-empty").x_value;
     let dataset = GraphGen::new(
         GraphGenConfig::default()
             .with_graph_count(scale.graph_count)

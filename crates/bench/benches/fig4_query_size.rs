@@ -7,14 +7,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_bench::{bench_scale, default_dataset};
 use sqbench_generator::QueryGen;
-use sqbench_harness::experiments::fig4_query_size;
-use sqbench_harness::report;
+use sqbench_harness::{experiments, report};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
 fn bench_fig4(c: &mut Criterion) {
     let scale = bench_scale();
 
-    for figure in fig4_query_size::run(&scale) {
+    for figure in experiments::run("fig4", &scale) {
         println!("{}", report::render_text(&figure));
     }
 

@@ -7,24 +7,25 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_bench::bench_scale;
 use sqbench_generator::{GraphGen, GraphGenConfig};
-use sqbench_harness::experiments::fig5_labels;
-use sqbench_harness::report;
+use sqbench_harness::{experiments, report};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
 fn bench_fig5(c: &mut Criterion) {
     let scale = bench_scale();
 
-    let figure = fig5_labels::run(&scale);
-    println!("{}", report::render_text(&figure));
+    let figure = &experiments::run("fig5_labels", &scale)[0];
+    println!("{}", report::render_text(figure));
 
     let config = MethodConfig::default();
     let mut group = c.benchmark_group("fig5_label_alphabet_extremes");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.measurement_time(std::time::Duration::from_secs(2));
-    let sweep = fig5_labels::sweep_for(&scale);
-    let extremes = [*sweep.first().unwrap(), *sweep.last().unwrap()];
-    for labels in extremes {
+    let extremes = [
+        figure.points.first().unwrap(),
+        figure.points.last().unwrap(),
+    ];
+    for labels in extremes.map(|point| point.x_value as u32) {
         let dataset = GraphGen::new(
             GraphGenConfig::default()
                 .with_graph_count(scale.graph_count)

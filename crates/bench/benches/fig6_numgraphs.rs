@@ -7,19 +7,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqbench_bench::bench_scale;
 use sqbench_generator::{GraphGen, GraphGenConfig};
-use sqbench_harness::experiments::fig6_numgraphs;
-use sqbench_harness::report;
+use sqbench_harness::{experiments, report};
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
 fn bench_fig6(c: &mut Criterion) {
     let scale = bench_scale();
 
-    let figure = fig6_numgraphs::run(&scale);
-    println!("{}", report::render_text(&figure));
+    let figure = &experiments::run("fig6_numgraphs", &scale)[0];
+    println!("{}", report::render_text(figure));
 
-    let largest = *fig6_numgraphs::sweep_for(&scale)
-        .last()
-        .expect("sweep is non-empty");
+    let largest = figure.points.last().expect("sweep is non-empty").x_value as usize;
     let dataset = GraphGen::new(
         GraphGenConfig::default()
             .with_graph_count(largest)

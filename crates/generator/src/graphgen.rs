@@ -21,7 +21,10 @@
 //! every "edge letter" of GraphGen's alphabet) equally likely, as in the
 //! original tool.
 
-use crate::sweeps::normal_sample;
+use crate::sweeps::{
+    normal_sample, SANE_DEFAULT_DENSITY, SANE_DEFAULT_GRAPHS, SANE_DEFAULT_LABELS,
+    SANE_DEFAULT_NODES,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -51,12 +54,12 @@ pub struct GraphGenConfig {
 impl Default for GraphGenConfig {
     fn default() -> Self {
         GraphGenConfig {
-            graph_count: 1000,
-            avg_nodes: 200,
+            graph_count: SANE_DEFAULT_GRAPHS,
+            avg_nodes: SANE_DEFAULT_NODES,
             stddev_nodes: 5.0,
-            avg_density: 0.025,
+            avg_density: SANE_DEFAULT_DENSITY,
             stddev_density: 0.01,
-            label_count: 20,
+            label_count: SANE_DEFAULT_LABELS,
             seed: 0x5eed_0001,
         }
     }

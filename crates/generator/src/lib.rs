@@ -19,8 +19,8 @@
 //! * [`QueryGen`] — the random-walk query workload generator of §4.3:
 //!   queries are connected subgraphs of dataset graphs with a requested
 //!   number of edges (4, 8, 16 or 32 in the paper).
-//! * [`sweeps`] — the parameter grids used by the scalability experiments
-//!   (number of nodes, density, labels, number of graphs, query size).
+//! * [`sweeps`] — the paper's "sane defaults" the scalability experiments
+//!   vary one parameter at a time around, and its query sizes.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,30 +1,11 @@
-//! Parameter grids used by the scalability experiments and small numeric
-//! helpers shared by the generators.
+//! The paper's "sane defaults" and query sizes, plus a small numeric helper
+//! shared by the generators.
 //!
-//! The values below are the sweep points reported in §5.2 of the paper.
-//! Benchmarks use truncated versions of these grids (see the `bench` crate)
-//! so they complete at laptop scale; the harness exposes both.
+//! The scalability experiments vary one dataset parameter at a time around
+//! these defaults; the swept axes themselves live in the harness's
+//! experiment catalogue, anchored at whatever `ExperimentScale` is run.
 
 use rand::Rng;
-
-/// Number-of-nodes sweep of §5.2.1 (full paper grid).
-pub const PAPER_NODE_SWEEP: &[usize] = &[
-    50, 75, 100, 125, 150, 175, 200, 250, 300, 400, 500, 600, 800, 1000, 1200, 1400, 1600, 1800,
-    2000,
-];
-
-/// Density sweep of §5.2.2 (full paper grid).
-pub const PAPER_DENSITY_SWEEP: &[f64] = &[
-    0.005, 0.006, 0.007, 0.008, 0.009, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04, 0.045, 0.05,
-    0.06, 0.07, 0.08, 0.09, 0.1, 0.2, 0.3,
-];
-
-/// Distinct-label sweep of §5.2.3 (full paper grid).
-pub const PAPER_LABEL_SWEEP: &[u32] = &[10, 20, 30, 40, 50, 60, 70, 80];
-
-/// Number-of-graphs sweep of §5.2.4 (full paper grid).
-pub const PAPER_GRAPH_COUNT_SWEEP: &[usize] =
-    &[1000, 2500, 5000, 7500, 10000, 25000, 50000, 100000, 500000];
 
 /// Query sizes (in edges) used throughout the paper (§4.3).
 pub const PAPER_QUERY_SIZES: &[usize] = &[4, 8, 16, 32];
@@ -54,44 +35,11 @@ pub fn normal_sample<R: Rng + ?Sized>(rng: &mut R, mean: f64, stddev: f64) -> f6
     mean + stddev * z
 }
 
-/// Truncated grids sized for laptop-scale benchmark runs. Each keeps the
-/// shape of the paper's sweep (including the region where method crossovers
-/// happen at small scale) while remaining tractable without a 128 GB host.
-pub mod laptop {
-    /// Node sweep used by the `fig2_nodes` bench.
-    pub const NODE_SWEEP: &[usize] = &[50, 75, 100, 150, 200];
-    /// Density sweep used by the `fig3_density` bench.
-    pub const DENSITY_SWEEP: &[f64] = &[0.005, 0.01, 0.025, 0.05, 0.1];
-    /// Label sweep used by the `fig5_labels` bench.
-    pub const LABEL_SWEEP: &[u32] = &[10, 20, 40, 80];
-    /// Graph-count sweep used by the `fig6_numgraphs` bench.
-    pub const GRAPH_COUNT_SWEEP: &[usize] = &[250, 500, 1000, 2000];
-    /// Query sizes exercised by the benches.
-    pub const QUERY_SIZES: &[usize] = &[4, 8, 16, 32];
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn paper_grids_match_section_5() {
-        assert_eq!(PAPER_NODE_SWEEP.len(), 19);
-        assert_eq!(PAPER_DENSITY_SWEEP.len(), 21);
-        assert_eq!(PAPER_LABEL_SWEEP.first(), Some(&10));
-        assert_eq!(PAPER_LABEL_SWEEP.last(), Some(&80));
-        assert_eq!(PAPER_GRAPH_COUNT_SWEEP.last(), Some(&500000));
-        assert_eq!(PAPER_QUERY_SIZES, &[4, 8, 16, 32]);
-    }
-
-    #[test]
-    fn laptop_grids_are_subsets_of_reasonable_ranges() {
-        assert!(laptop::NODE_SWEEP.iter().all(|&n| n <= 200));
-        assert!(laptop::DENSITY_SWEEP.iter().all(|&d| d <= 0.1));
-        assert!(laptop::GRAPH_COUNT_SWEEP.iter().all(|&g| g <= 2000));
-    }
 
     #[test]
     fn normal_sample_mean_and_spread() {

@@ -22,10 +22,11 @@
 //!   per-query deadlines);
 //! * [`report`] — experiment report data structures plus plain-text and CSV
 //!   rendering of the same rows/series the paper plots;
-//! * [`experiments`] — one module per table/figure of the paper
-//!   (Table 1, Figures 1–6), each parameterized by an [`ExperimentScale`]
-//!   so the same code runs as a quick smoke test, a laptop-scale benchmark
-//!   or the full paper grid.
+//! * [`experiments`] — the paper's figures (and the beyond-the-paper
+//!   sweeps and ablations) as one catalogue of sweep rows behind one driver,
+//!   plus Table 1; everything is parameterized by an [`ExperimentScale`] so
+//!   the same rows run as a quick smoke test, at laptop scale or anchored at
+//!   the paper's defaults.
 //!
 //! ## Quick example
 //!
@@ -33,9 +34,9 @@
 //! use sqbench_harness::{experiments, ExperimentScale};
 //!
 //! // Smoke-scale run of the Figure 2 experiment (varying number of nodes).
-//! let report = experiments::fig2_nodes::run(&ExperimentScale::smoke());
-//! assert!(!report.points.is_empty());
-//! println!("{}", sqbench_harness::report::render_text(&report));
+//! let reports = experiments::run("fig2_nodes", &ExperimentScale::smoke());
+//! assert!(!reports[0].points.is_empty());
+//! println!("{}", sqbench_harness::report::render_text(&reports[0]));
 //! ```
 
 #![warn(missing_docs)]
@@ -49,10 +50,7 @@ pub mod runner;
 pub mod service;
 
 pub use loadgen::{run_open_loop, ArrivalProcess, LoadGenConfig, OpenLoopReport};
-pub use metrics::{
-    counted_false_positive_ratio, workload_false_positive_ratio, CacheCounters, MethodMetrics,
-    StageTotals,
-};
+pub use metrics::{counted_false_positive_ratio, CacheCounters, MethodMetrics, StageTotals};
 pub use report::{ExperimentPoint, ExperimentReport};
 pub use runner::{run_methods, ExperimentScale, RunOptions};
 pub use service::{

@@ -1,7 +1,6 @@
 //! Metric definitions: per-method measurements and the false positive ratio.
 
 use serde::{Deserialize, Serialize};
-use sqbench_index::QueryOutcome;
 use std::time::{Duration, Instant};
 
 /// A simple wall-clock stopwatch.
@@ -43,23 +42,10 @@ impl Default for Stopwatch {
 
 /// The false positive ratio of a query workload, per Equation (3) of the
 /// paper: the mean over queries of `(|C| - |A|) / |C|`, where `C` is the
-/// candidate set and `A` the answer set. Queries with an empty candidate
-/// set contribute 0 (they produced no false positives).
-pub fn workload_false_positive_ratio(outcomes: &[QueryOutcome]) -> f64 {
-    if outcomes.is_empty() {
-        return 0.0;
-    }
-    outcomes
-        .iter()
-        .map(QueryOutcome::false_positive_ratio)
-        .sum::<f64>()
-        / outcomes.len() as f64
-}
-
-/// The false positive ratio of a workload from `(candidates, answers)`
-/// cardinality pairs — the counts-only twin of
-/// [`workload_false_positive_ratio`], used by the batch query service,
-/// which never materializes candidate id lists.
+/// candidate set and `A` the answer set, taken from `(candidates, answers)`
+/// cardinality pairs — the serving paths never materialize candidate id
+/// lists. Queries with an empty candidate set contribute 0 (they produced
+/// no false positives).
 pub fn counted_false_positive_ratio<I>(counts: I) -> f64
 where
     I: IntoIterator<Item = (usize, usize)>,
@@ -313,7 +299,7 @@ impl CacheCounters {
 /// All measurements collected for one method at one experiment point — the
 /// quantities plotted in panels (a)–(d) of each figure in the paper, plus
 /// the per-stage breakdown the pipelined query service records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MethodMetrics {
     /// Method name (as in the paper's legends).
     pub method: String,
@@ -439,37 +425,11 @@ impl MethodMetrics {
         }
         times.iter().copied().fold(f64::INFINITY, f64::min) / max
     }
-
-    /// Formats the record as a single log line.
-    pub fn to_log_line(&self) -> String {
-        format!(
-            "{method:12} index_time={it:9.3}s index_size={sz:10.3}MB features={feat:8} \
-             query_time={qt:9.5}s (filter={ft:9.5}s verify={vt:9.5}s) fp_ratio={fp:6.3} \
-             queries={q:4}{dnf}",
-            method = self.method,
-            it = self.indexing_time_s,
-            sz = self.index_size_mb(),
-            feat = self.distinct_features,
-            qt = self.avg_query_time_s,
-            ft = self.stages.avg_filter_s(),
-            vt = self.stages.avg_verify_s(),
-            fp = self.false_positive_ratio,
-            q = self.queries_executed,
-            dnf = if self.timed_out { " [DNF]" } else { "" },
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn outcome(candidates: usize, answers: usize) -> QueryOutcome {
-        QueryOutcome {
-            candidates: (0..candidates).collect(),
-            answers: (0..answers).collect(),
-        }
-    }
 
     #[test]
     fn stopwatch_measures_time() {
@@ -481,33 +441,19 @@ mod tests {
     #[test]
     fn fp_ratio_of_equation_3() {
         // Query 1: 10 candidates, 5 answers -> 0.5; query 2: 4/4 -> 0.0.
-        let outcomes = vec![outcome(10, 5), outcome(4, 4)];
-        assert!((workload_false_positive_ratio(&outcomes) - 0.25).abs() < 1e-12);
+        let ratio = counted_false_positive_ratio([(10, 5), (4, 4)]);
+        assert!((ratio - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn fp_ratio_handles_empty_inputs() {
-        assert_eq!(workload_false_positive_ratio(&[]), 0.0);
-        let outcomes = vec![outcome(0, 0)];
-        assert_eq!(workload_false_positive_ratio(&outcomes), 0.0);
+        assert_eq!(counted_false_positive_ratio(std::iter::empty()), 0.0);
+        assert_eq!(counted_false_positive_ratio([(0, 0)]), 0.0);
     }
 
     #[test]
     fn fp_ratio_is_one_when_nothing_verifies() {
-        let outcomes = vec![outcome(7, 0)];
-        assert!((workload_false_positive_ratio(&outcomes) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counted_fp_ratio_matches_outcome_based_ratio() {
-        let outcomes = vec![outcome(10, 5), outcome(4, 4), outcome(0, 0)];
-        let counted = counted_false_positive_ratio(
-            outcomes
-                .iter()
-                .map(|o| (o.candidates.len(), o.answers.len())),
-        );
-        assert!((counted - workload_false_positive_ratio(&outcomes)).abs() < 1e-12);
-        assert_eq!(counted_false_positive_ratio(std::iter::empty()), 0.0);
+        assert!((counted_false_positive_ratio([(7, 0)]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -654,27 +600,8 @@ mod tests {
             stages.observe_latency(ms as f64 / 1000.0);
         }
         let m = MethodMetrics {
-            method: "Grapes".into(),
-            indexing_time_s: 0.0,
-            index_size_bytes: 0,
-            distinct_features: 0,
-            avg_query_time_s: 0.0,
-            false_positive_ratio: 0.0,
-            queries_executed: 100,
-            timed_out: false,
-            queries_degraded: 0,
-            queries_failed: 0,
-            queries_shed: 0,
-            retries: 0,
-            inserts_applied: 0,
-            removes_applied: 0,
             stages,
-            shards: 1,
-            shards_probed: 0,
-            shards_skipped: 0,
-            shard_stages: Vec::new(),
-            partition_overhead_bytes: 0,
-            cache: CacheCounters::default(),
+            ..Default::default()
         };
         assert_close(m.latency_p50_s(), 0.050);
         assert_close(m.latency_p95_s(), 0.095);
@@ -682,39 +609,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_formatting() {
+    fn index_size_is_reported_in_megabytes() {
         let m = MethodMetrics {
-            method: "Grapes".into(),
-            indexing_time_s: 1.25,
             index_size_bytes: 2 * 1024 * 1024,
-            distinct_features: 100,
-            avg_query_time_s: 0.01,
-            false_positive_ratio: 0.125,
-            queries_executed: 40,
-            timed_out: false,
-            queries_degraded: 0,
-            queries_failed: 0,
-            queries_shed: 0,
-            retries: 0,
-            inserts_applied: 0,
-            removes_applied: 0,
-            stages: StageTotals::default(),
-            shards: 1,
-            shards_probed: 0,
-            shards_skipped: 0,
-            shard_stages: Vec::new(),
-            partition_overhead_bytes: 0,
-            cache: CacheCounters::default(),
+            ..Default::default()
         };
         assert!((m.index_size_mb() - 2.0).abs() < 1e-9);
-        let line = m.to_log_line();
-        assert!(line.contains("Grapes"));
-        assert!(!line.contains("DNF"));
-        let dnf = MethodMetrics {
-            timed_out: true,
-            ..m
-        };
-        assert!(dnf.to_log_line().contains("DNF"));
     }
 
     fn stage(filter_s: f64, verify_s: f64) -> StageTotals {
@@ -728,27 +628,8 @@ mod tests {
         let mut stages = StageTotals::default();
         stages.add_query(0.1, 0.0, 2.0, 3.0, 5);
         let m = MethodMetrics {
-            method: "GGSX".into(),
-            indexing_time_s: 0.0,
-            index_size_bytes: 1,
-            distinct_features: 1,
-            avg_query_time_s: 0.0,
-            false_positive_ratio: 0.0,
-            queries_executed: 1,
-            timed_out: false,
-            queries_degraded: 0,
-            queries_failed: 0,
-            queries_shed: 0,
-            retries: 0,
-            inserts_applied: 0,
-            removes_applied: 0,
             stages,
-            shards: 1,
-            shards_probed: 0,
-            shards_skipped: 0,
-            shard_stages: Vec::new(),
-            partition_overhead_bytes: 0,
-            cache: CacheCounters::default(),
+            ..Default::default()
         };
         assert!((m.max_shard_time_s() - 5.0).abs() < 1e-12);
         assert_eq!(m.shard_balance(), 1.0);
@@ -757,27 +638,9 @@ mod tests {
     #[test]
     fn shard_accessors_report_critical_path_and_balance() {
         let m = MethodMetrics {
-            method: "GGSX".into(),
-            indexing_time_s: 0.0,
-            index_size_bytes: 1,
-            distinct_features: 1,
-            avg_query_time_s: 0.0,
-            false_positive_ratio: 0.0,
-            queries_executed: 4,
-            timed_out: false,
-            queries_degraded: 0,
-            queries_failed: 0,
-            queries_shed: 0,
-            retries: 0,
-            inserts_applied: 0,
-            removes_applied: 0,
-            stages: StageTotals::default(),
             shards: 3,
-            shards_probed: 12,
-            shards_skipped: 0,
             shard_stages: vec![stage(1.0, 1.0), stage(0.5, 0.5), stage(2.0, 2.0)],
-            partition_overhead_bytes: 96,
-            cache: CacheCounters::default(),
+            ..Default::default()
         };
         assert!((m.max_shard_time_s() - 4.0).abs() < 1e-12);
         assert!((m.shard_balance() - 0.25).abs() < 1e-12);
@@ -797,29 +660,11 @@ mod tests {
     #[test]
     fn shard_balance_ignores_unprobed_shards() {
         let m = MethodMetrics {
-            method: "GGSX".into(),
-            indexing_time_s: 0.0,
-            index_size_bytes: 1,
-            distinct_features: 1,
-            avg_query_time_s: 0.0,
-            false_positive_ratio: 0.0,
-            queries_executed: 2,
-            timed_out: false,
-            queries_degraded: 0,
-            queries_failed: 0,
-            queries_shed: 0,
-            retries: 0,
-            inserts_applied: 0,
-            removes_applied: 0,
-            stages: StageTotals::default(),
             shards: 3,
-            shards_probed: 2,
-            shards_skipped: 4,
             // Two probed shards (2 s and 1 s) and one the router skipped
             // for the whole wave (no queries, zero time).
             shard_stages: vec![stage(1.0, 1.0), stage(0.5, 0.5), StageTotals::default()],
-            partition_overhead_bytes: 48,
-            cache: CacheCounters::default(),
+            ..Default::default()
         };
         assert!(
             (m.shard_balance() - 0.5).abs() < 1e-12,

@@ -77,19 +77,100 @@ impl ExperimentReport {
     }
 }
 
-/// Extracts one formatted metric cell from a method's measurements.
-type PanelExtractor = fn(&MethodMetrics) -> String;
+/// One report column: its CSV name and how a method's measurements fill it.
+pub type Column = (&'static str, fn(&MethodMetrics) -> String);
 
-/// The four metric panels of each figure in the paper.
-const PANELS: [(&str, PanelExtractor); 4] = [
-    ("Indexing time (s)", |m| format!("{:.4}", m.indexing_time_s)),
-    ("Index size (MB)", |m| format!("{:.4}", m.index_size_mb())),
-    ("Query processing time (s)", |m| {
-        format!("{:.6}", m.avg_query_time_s)
+/// The columns that key a CSV row: which report, which x-axis point.
+const KEY_COLUMNS: [&str; 3] = ["experiment", "x_label", "x_value"];
+
+/// Every per-method column of a report, declared once as `(name, accessor)`:
+/// [`render_csv`] derives its header and its rows from this table and
+/// [`render_text`] plots four of its entries, so a new counter is one
+/// [`MethodMetrics`] field plus one line here.
+///
+/// What the column groups mean: the per-stage breakdown recorded by the
+/// query service (mean queue wait / cache probe / filter / verify seconds —
+/// cache probes are already excluded from `avg_filter_time_s` — and total
+/// candidates pruned); the tail-latency columns (`latency_p50_s`,
+/// `latency_p95_s`, `latency_p99_s`: per-query end-to-end percentiles from
+/// the run's latency histogram — the SLO view a mean cannot give, because
+/// saturation shows up in the tail long before it moves the average; 0 when
+/// the run recorded no latencies); the sharding columns (`shards`, the total
+/// `(query, shard)` probes the routing tier dispatched and skipped, the
+/// busiest shard's processing seconds, the lightest/heaviest *probed*-shard
+/// balance, and the incremental `partition_overhead_bytes` the shard
+/// partition cost on top of the source dataset — 1, 0 and degenerate values
+/// for unsharded runs); the outcome columns (`queries_degraded`,
+/// `queries_failed`, `queries_shed`, `retries`: how many queries returned a
+/// sound partial answer, exhausted their retry budget, were shed at
+/// admission, and how many retry probes were dispatched — all 0 on a healthy
+/// fault-free run); the ingest columns (`inserts_applied`,
+/// `removes_applied`: typed mutations applied while draining a mixed
+/// read/write admission queue — always 0 for batch runs, which serve a
+/// frozen snapshot); and the `cache_*` counters of the cross-query caching
+/// layer (feature-cache and answer-memo hits/misses plus total LRU
+/// evictions — all 0 when the run leaves [`crate::service::CachePolicy`]
+/// disabled).
+///
+/// Names and order are the CSV contract figure scripts parse by; both are
+/// pinned by the golden-file test in `tests/golden_report.rs`, so changes
+/// here must update the golden file deliberately.
+pub const COLUMNS: &[Column] = &[
+    ("method", |m| m.method.clone()),
+    ("indexing_time_s", |m| m.indexing_time_s.to_string()),
+    ("index_size_bytes", |m| m.index_size_bytes.to_string()),
+    ("distinct_features", |m| m.distinct_features.to_string()),
+    ("avg_query_time_s", |m| m.avg_query_time_s.to_string()),
+    ("avg_queue_wait_s", |m| {
+        m.stages.avg_queue_wait_s().to_string()
     }),
-    ("False positive ratio", |m| {
-        format!("{:.4}", m.false_positive_ratio)
+    ("avg_cache_probe_s", |m| {
+        m.stages.avg_cache_probe_s().to_string()
     }),
+    ("avg_filter_time_s", |m| m.stages.avg_filter_s().to_string()),
+    ("avg_verify_time_s", |m| m.stages.avg_verify_s().to_string()),
+    ("latency_p50_s", |m| m.latency_p50_s().to_string()),
+    ("latency_p95_s", |m| m.latency_p95_s().to_string()),
+    ("latency_p99_s", |m| m.latency_p99_s().to_string()),
+    ("candidates_pruned", |m| {
+        m.stages.candidates_pruned.to_string()
+    }),
+    ("false_positive_ratio", |m| {
+        m.false_positive_ratio.to_string()
+    }),
+    ("queries_executed", |m| m.queries_executed.to_string()),
+    ("shards", |m| m.shards.to_string()),
+    ("shards_probed", |m| m.shards_probed.to_string()),
+    ("shards_skipped", |m| m.shards_skipped.to_string()),
+    ("max_shard_time_s", |m| m.max_shard_time_s().to_string()),
+    ("shard_balance", |m| m.shard_balance().to_string()),
+    ("partition_overhead_bytes", |m| {
+        m.partition_overhead_bytes.to_string()
+    }),
+    ("queries_degraded", |m| m.queries_degraded.to_string()),
+    ("queries_failed", |m| m.queries_failed.to_string()),
+    ("queries_shed", |m| m.queries_shed.to_string()),
+    ("retries", |m| m.retries.to_string()),
+    ("inserts_applied", |m| m.inserts_applied.to_string()),
+    ("removes_applied", |m| m.removes_applied.to_string()),
+    ("timed_out", |m| m.timed_out.to_string()),
+    ("cache_feature_hits", |m| m.cache.feature_hits.to_string()),
+    ("cache_feature_misses", |m| {
+        m.cache.feature_misses.to_string()
+    }),
+    ("cache_answer_hits", |m| m.cache.answer_hits.to_string()),
+    ("cache_answer_misses", |m| m.cache.answer_misses.to_string()),
+    ("cache_evictions", |m| m.cache.evictions.to_string()),
+];
+
+/// The four metric panels of each figure in the paper: the panel title, the
+/// [`COLUMNS`] entry it plots, the divisor into the title's unit and the
+/// decimals shown.
+const PANELS: [(&str, &str, f64, usize); 4] = [
+    ("Indexing time (s)", "indexing_time_s", 1.0, 4),
+    ("Index size (MB)", "index_size_bytes", 1024.0 * 1024.0, 4),
+    ("Query processing time (s)", "avg_query_time_s", 1.0, 6),
+    ("False positive ratio", "false_positive_ratio", 1.0, 4),
 ];
 
 /// Renders the report as four plain-text panels (one per metric), each a
@@ -100,7 +181,11 @@ pub fn render_text(report: &ExperimentReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("# {} — {}\n", report.id, report.title));
     out.push_str(&format!("# {}\n", report.description));
-    for (panel_title, extract) in PANELS {
+    for (panel_title, column, divisor, decimals) in PANELS {
+        let (_, get) = COLUMNS
+            .iter()
+            .find(|(name, _)| *name == column)
+            .expect("every panel plots a declared column");
         out.push_str(&format!("\n## {panel_title}\n"));
         // Header.
         out.push_str(&format!("{:>18}", "x"));
@@ -111,18 +196,14 @@ pub fn render_text(report: &ExperimentReport) -> String {
         for point in &report.points {
             out.push_str(&format!("{:>18}", point.x_label));
             for m in &methods {
-                let cell = point
-                    .results
-                    .iter()
-                    .find(|r| &r.method == m)
-                    .map(|r| {
-                        if r.timed_out {
-                            "DNF".to_string()
-                        } else {
-                            extract(r)
-                        }
-                    })
-                    .unwrap_or_else(|| "-".to_string());
+                let cell = match point.results.iter().find(|r| &r.method == m) {
+                    None => "-".to_string(),
+                    Some(r) if r.timed_out => "DNF".to_string(),
+                    Some(r) => {
+                        let value: f64 = get(r).parse().expect("panel columns are numeric");
+                        format!("{:.decimals$}", value / divisor)
+                    }
+                };
                 out.push_str(&format!("{cell:>14}"));
             }
             out.push('\n');
@@ -131,94 +212,25 @@ pub fn render_text(report: &ExperimentReport) -> String {
     out
 }
 
-/// Renders the report as CSV with one row per (point, method) pair,
-/// including the per-stage breakdown recorded by the query service (mean
-/// queue wait / filter / verify seconds and total candidates pruned) and
-/// the sharding columns (`shards`, the total `(query, shard)` probes the
-/// routing tier dispatched and skipped, the busiest shard's processing
-/// seconds, the lightest/heaviest *probed*-shard balance, and the
-/// incremental `partition_overhead_bytes` the shard partition cost on top
-/// of the source dataset — 1, 0 and degenerate values for unsharded runs).
-///
-/// The outcome columns (`queries_degraded`, `queries_failed`,
-/// `queries_shed`, `retries`) report the fault-tolerance accounting: how
-/// many queries returned a sound partial answer, how many exhausted their
-/// retry budget, how many were shed at admission, and how many retry
-/// probes were dispatched — all 0 on a healthy fault-free run.
-///
-/// The ingest columns (`inserts_applied`, `removes_applied`) count the
-/// typed mutations the sharded service applied while draining a mixed
-/// read/write admission queue — always 0 for batch runs, which serve a
-/// frozen dataset snapshot.
-///
-/// The tail-latency columns (`latency_p50_s`, `latency_p95_s`,
-/// `latency_p99_s`) are per-query end-to-end latency percentiles from the
-/// run's latency histogram — the SLO view that a mean cannot give,
-/// because saturation shows up in the tail long before it moves the
-/// average. All 0 when the run recorded no latencies.
-///
-/// The cache columns report the cross-query caching layer:
-/// `avg_cache_probe_s` is the mean per-query time spent probing the
-/// feature cache and answer memo (already excluded from
-/// `avg_filter_time_s`), and the `cache_*` counters are the run's
-/// feature-cache and answer-memo hits/misses plus total LRU evictions —
-/// all 0 when the run leaves [`crate::service::CachePolicy`] disabled.
-///
-/// The exact header and field order are pinned by the golden-file test in
-/// `tests/golden_report.rs`; figure scripts parse these columns by name, so
-/// changes here must update the golden file deliberately.
+/// Renders the report as CSV with one row per (point, method) pair: the
+/// three key columns, then every entry of [`COLUMNS`] in declaration order.
 pub fn render_csv(report: &ExperimentReport) -> String {
-    let mut out = String::from(
-        "experiment,x_label,x_value,method,indexing_time_s,index_size_bytes,distinct_features,\
-         avg_query_time_s,avg_queue_wait_s,avg_cache_probe_s,avg_filter_time_s,\
-         avg_verify_time_s,latency_p50_s,latency_p95_s,latency_p99_s,\
-         candidates_pruned,false_positive_ratio,queries_executed,shards,\
-         shards_probed,shards_skipped,max_shard_time_s,shard_balance,partition_overhead_bytes,\
-         queries_degraded,queries_failed,queries_shed,retries,inserts_applied,removes_applied,\
-         timed_out,cache_feature_hits,\
-         cache_feature_misses,cache_answer_hits,cache_answer_misses,cache_evictions\n",
-    );
+    let names = COLUMNS.iter().map(|(name, _)| *name);
+    let header: Vec<&str> = KEY_COLUMNS.into_iter().chain(names).collect();
+    let mut out = header.join(",") + "\n";
     for point in &report.points {
         for m in &point.results {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                report.id,
-                point.x_label,
-                point.x_value,
-                m.method,
-                m.indexing_time_s,
-                m.index_size_bytes,
-                m.distinct_features,
-                m.avg_query_time_s,
-                m.stages.avg_queue_wait_s(),
-                m.stages.avg_cache_probe_s(),
-                m.stages.avg_filter_s(),
-                m.stages.avg_verify_s(),
-                m.latency_p50_s(),
-                m.latency_p95_s(),
-                m.latency_p99_s(),
-                m.stages.candidates_pruned,
-                m.false_positive_ratio,
-                m.queries_executed,
-                m.shards,
-                m.shards_probed,
-                m.shards_skipped,
-                m.max_shard_time_s(),
-                m.shard_balance(),
-                m.partition_overhead_bytes,
-                m.queries_degraded,
-                m.queries_failed,
-                m.queries_shed,
-                m.retries,
-                m.inserts_applied,
-                m.removes_applied,
-                m.timed_out,
-                m.cache.feature_hits,
-                m.cache.feature_misses,
-                m.cache.answer_hits,
-                m.cache.answer_misses,
-                m.cache.evictions
-            ));
+            let keys = [
+                report.id.clone(),
+                point.x_label.clone(),
+                point.x_value.to_string(),
+            ];
+            let row: Vec<String> = keys
+                .into_iter()
+                .chain(COLUMNS.iter().map(|(_, get)| get(m)))
+                .collect();
+            out.push_str(&row.join(","));
+            out.push('\n');
         }
     }
     out
@@ -237,24 +249,12 @@ mod tests {
             method: method.to_string(),
             indexing_time_s: t,
             index_size_bytes: 1024 * 1024,
-            distinct_features: 10,
             avg_query_time_s: t / 100.0,
             false_positive_ratio: 0.5,
             queries_executed: 8,
-            timed_out: false,
-            queries_degraded: 0,
-            queries_failed: 0,
-            queries_shed: 0,
-            retries: 0,
-            inserts_applied: 0,
-            removes_applied: 0,
             stages,
             shards: 1,
-            shards_probed: 0,
-            shards_skipped: 0,
-            shard_stages: Vec::new(),
-            partition_overhead_bytes: 0,
-            cache: crate::metrics::CacheCounters::default(),
+            ..Default::default()
         }
     }
 
@@ -325,9 +325,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_via_clone_eq() {
-        let report = sample_report();
-        let copy = report.clone();
-        assert_eq!(report, copy);
+    fn column_names_are_unique() {
+        let mut names: Vec<&str> = KEY_COLUMNS.to_vec();
+        names.extend(COLUMNS.iter().map(|(name, _)| *name));
+        let declared = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), declared, "a column name is declared twice");
     }
 }

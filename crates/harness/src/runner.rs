@@ -4,21 +4,27 @@
 use crate::metrics::{MethodMetrics, StageTotals, Stopwatch};
 use crate::service::{BatchReport, QueryService, ServiceOptions, ShardedReport, ShardedService};
 use serde::{Deserialize, Serialize};
+use sqbench_generator::sweeps::{
+    PAPER_QUERY_SIZES, SANE_DEFAULT_DENSITY, SANE_DEFAULT_GRAPHS, SANE_DEFAULT_LABELS,
+    SANE_DEFAULT_NODES,
+};
 use sqbench_generator::QueryWorkload;
 use sqbench_graph::Dataset;
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 use std::time::Duration;
 
-/// Scale of an experiment run. The same experiment code is used at three
-/// scales:
+/// Scale of an experiment run. Every sweep of the experiment catalogue
+/// takes the same 4–5 points anchored at the scale's defaults (half to
+/// twice the default, and so on) — a scale moves the anchor, the dataset
+/// size and the time budget, not the number of points:
 ///
 /// * [`ExperimentScale::smoke`] — seconds-long runs used by unit and
 ///   integration tests;
-/// * [`ExperimentScale::laptop`] — the default for the Criterion benches;
-///   keeps the shape of the paper's sweeps at a size a laptop can finish;
-/// * [`ExperimentScale::paper`] — the full parameter grids of the paper
-///   (needs a large machine and many hours, exactly as the original study
-///   did).
+/// * [`ExperimentScale::laptop`] — keeps the shape of the paper's sweeps at
+///   a size a laptop can finish;
+/// * [`ExperimentScale::paper`] — anchored at the paper's "sane defaults"
+///   with its query sizes and 8-hour budget (needs a large machine and many
+///   hours, as the original study did).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentScale {
     /// Number of graphs in synthetic datasets (paper default: 1000).
@@ -84,12 +90,12 @@ impl ExperimentScale {
     /// The paper's full configuration ("sane defaults", 8-hour budget).
     pub fn paper() -> Self {
         ExperimentScale {
-            graph_count: 1000,
-            avg_nodes: 200,
-            avg_density: 0.025,
-            label_count: 20,
+            graph_count: SANE_DEFAULT_GRAPHS,
+            avg_nodes: SANE_DEFAULT_NODES,
+            avg_density: SANE_DEFAULT_DENSITY,
+            label_count: SANE_DEFAULT_LABELS,
             queries_per_size: 100,
-            query_sizes: vec![4, 8, 16, 32],
+            query_sizes: PAPER_QUERY_SIZES.to_vec(),
             real_dataset_scale: 1.0,
             time_budget: Duration::from_secs(8 * 3600),
             seed: 2015,
@@ -310,12 +316,7 @@ fn run_single_method(
         timed_out: served.timed_out,
         queries_degraded: served.degraded,
         queries_failed: served.failed,
-        // Batch runs bypass admission (nothing is shed) and serve a frozen
-        // snapshot — the online ingest path is `ShardedService::drain`.
-        queries_shed: 0,
         retries: served.retries,
-        inserts_applied: 0,
-        removes_applied: 0,
         stages,
         shards,
         shards_probed: served.shards_probed,
@@ -323,6 +324,10 @@ fn run_single_method(
         shard_stages: served.per_shard,
         partition_overhead_bytes,
         cache,
+        // Batch runs bypass admission (nothing is shed) and serve a frozen
+        // snapshot (no inserts or removes) — the online ingest path is
+        // `ShardedService::drain`.
+        ..MethodMetrics::default()
     }
 }
 
@@ -517,6 +522,7 @@ mod tests {
         assert_eq!(paper.avg_nodes, 200);
         assert!((paper.avg_density - 0.025).abs() < 1e-12);
         assert_eq!(paper.label_count, 20);
+        assert_eq!(paper.query_sizes, [4, 8, 16, 32]);
         assert_eq!(paper.time_budget, Duration::from_secs(8 * 3600));
         let smoke = ExperimentScale::smoke();
         assert!(smoke.graph_count < ExperimentScale::laptop().graph_count);

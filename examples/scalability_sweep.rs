@@ -3,19 +3,16 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release --example scalability_sweep -- [fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8] [smoke|laptop|paper]
+//! cargo run --release --example scalability_sweep -- [id] [smoke|laptop|paper]
 //! ```
 //!
-//! The first argument picks the experiment (default `fig2`, the
-//! number-of-nodes sweep; `fig7` is the beyond-the-paper shard-count
-//! sweep, run for all three partitioning strategies — round-robin,
-//! size-balanced and label-aware; `fig8` the shard-routing sweep, fanout
-//! vs. routed over a label-clustered dataset), the second the scale
-//! (default `smoke`). Output is the four text panels of the figure plus a
-//! CSV block that can be piped into a plotting tool. Sweeps like `fig6`
-//! re-partition and truncate one generated dataset many times — cheap,
-//! because datasets share graph storage (`Arc<Graph>`) instead of copying
-//! it per point.
+//! The first argument picks the rows of the experiment catalogue
+//! (`sqbench_harness::experiments`) whose id it is a prefix of — `fig1` …
+//! `fig8`, `ablation_path_length`, or `ablation` for all five ablations;
+//! `fig4` runs one report per query size and `fig7` one per partitioning
+//! strategy. The default is `fig2`, the number-of-nodes sweep. The second
+//! argument is the scale (default `smoke`). Output is the four text panels
+//! of each report plus a CSV block that can be piped into a plotting tool.
 
 use sqbench_harness::{experiments, report, ExperimentScale};
 
@@ -28,31 +25,18 @@ fn main() {
         _ => ExperimentScale::smoke(),
     };
 
-    let reports = match which {
-        "fig1" => vec![experiments::fig1_real::run(&scale)],
-        "fig2" => vec![experiments::fig2_nodes::run(&scale)],
-        "fig3" => vec![experiments::fig3_density::run(&scale)],
-        "fig4" => experiments::fig4_query_size::run(&scale),
-        "fig5" => vec![experiments::fig5_labels::run(&scale)],
-        "fig6" => vec![experiments::fig6_numgraphs::run(&scale)],
-        "fig7" => vec![
-            experiments::fig7_shards::run(&scale),
-            experiments::fig7_shards::run_with_strategy(
-                &scale,
-                sqbench_harness::ShardStrategy::SizeBalanced,
-            ),
-            experiments::fig7_shards::run_with_strategy(
-                &scale,
-                sqbench_harness::ShardStrategy::LabelAware,
-            ),
-        ],
-        "fig8" => vec![experiments::fig8_routing::run(&scale)],
-        other => {
-            eprintln!("unknown experiment {other:?}; use fig1..fig8");
-            std::process::exit(2);
-        }
-    };
-
+    let reports = experiments::run(which, &scale);
+    if reports.is_empty() {
+        let ids: Vec<String> = experiments::catalogue(&scale)
+            .into_iter()
+            .map(|row| row.id)
+            .collect();
+        eprintln!(
+            "unknown experiment {which:?}; use a prefix of: {}",
+            ids.join(", ")
+        );
+        std::process::exit(2);
+    }
     for r in &reports {
         println!("{}", report::render_text(r));
         println!("--- CSV ---\n{}", report::render_csv(r));

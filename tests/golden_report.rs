@@ -15,7 +15,7 @@
 //! and commit the diff together with the change that caused it.
 
 use sqbench_harness::metrics::{CacheCounters, MethodMetrics, StageTotals};
-use sqbench_harness::report::{render_csv, ExperimentPoint, ExperimentReport};
+use sqbench_harness::report::{render_csv, ExperimentPoint, ExperimentReport, COLUMNS};
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_report.csv");
 
@@ -47,19 +47,9 @@ fn golden_report() -> ExperimentReport {
         avg_query_time_s: 1.5,
         false_positive_ratio: 0.125,
         queries_executed: 2,
-        timed_out: false,
-        queries_degraded: 0,
-        queries_failed: 0,
-        queries_shed: 0,
-        retries: 0,
-        inserts_applied: 0,
-        removes_applied: 0,
         stages: stage_totals(2, 0.25, 0.125, 0.5, 1.0),
         shards: 1,
         shards_probed: 2,
-        shards_skipped: 0,
-        shard_stages: Vec::new(),
-        partition_overhead_bytes: 0,
         // Exercise the cache columns with non-zero values: a warm feature
         // cache plus an answer memo that served one of the two queries.
         cache: CacheCounters {
@@ -69,6 +59,9 @@ fn golden_report() -> ExperimentReport {
             answer_misses: 1,
             evictions: 3,
         },
+        // A healthy unsharded batch run: not timed out, every outcome,
+        // ingest and partition column 0.
+        ..Default::default()
     };
     let sharded = MethodMetrics {
         method: "Grapes".to_string(),
@@ -101,7 +94,7 @@ fn golden_report() -> ExperimentReport {
         // Two shards' Arc pointer spines over a 20-graph dataset.
         partition_overhead_bytes: 160,
         // A cache-disabled run: every cache column renders as 0.
-        cache: CacheCounters::default(),
+        ..Default::default()
     };
     let mut report = ExperimentReport::new(
         "golden",
@@ -161,6 +154,12 @@ fn csv_header_is_pinned_including_routing_outcome_and_cache_columns() {
          queries_shed,retries,inserts_applied,removes_applied,timed_out,\
          cache_feature_hits,cache_feature_misses,\
          cache_answer_hits,cache_answer_misses,cache_evictions"
+    );
+    // The header is exactly the declared-once column table behind the keys.
+    let declared: Vec<&str> = COLUMNS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        header,
+        format!("experiment,x_label,x_value,{}", declared.join(","))
     );
     // Every data row carries exactly as many fields as the header names.
     let columns = header.split(',').count();
