@@ -127,11 +127,9 @@ impl FrequentMiner {
         &self.config
     }
 
-    /// Enumerates the fragments of a single graph, grouped by canonical key.
-    /// Returns, for each key, a representative fragment. Exposed so the
-    /// index methods can reuse the same enumeration during query processing.
-    pub fn enumerate_graph(&self, g: &Graph) -> BTreeMap<FeatureKey, Graph> {
-        let mut out: BTreeMap<FeatureKey, Graph> = BTreeMap::new();
+    /// Visits every fragment of a single graph with its canonical key — the
+    /// one enumeration behind mining, online inserts and query processing.
+    fn for_each_fragment(&self, g: &Graph, mut visit: impl FnMut(FeatureKey, Graph)) {
         let acyclic_only = self.config.kind == FeatureKind::Tree;
         for_each_connected_edge_subset(g, self.config.max_feature_edges, acyclic_only, |edges| {
             let fragment = subgraph_from_edges(g, edges);
@@ -139,7 +137,27 @@ impl FrequentMiner {
                 FeatureKind::Subgraph => graph_key(&fragment),
                 FeatureKind::Tree => tree_key(&fragment),
             };
+            visit(key, fragment);
+        });
+    }
+
+    /// Enumerates the fragments of a single graph, grouped by canonical key.
+    /// Returns, for each key, a representative fragment.
+    pub fn enumerate_graph(&self, g: &Graph) -> BTreeMap<FeatureKey, Graph> {
+        let mut out: BTreeMap<FeatureKey, Graph> = BTreeMap::new();
+        self.for_each_fragment(g, |key, fragment| {
             out.entry(key).or_insert(fragment);
+        });
+        out
+    }
+
+    /// The canonical keys of a single graph's fragments, ascending — what
+    /// the index methods look up on the insert and the query side, where a
+    /// representative fragment per key would be kept only to be dropped.
+    pub fn fragment_keys(&self, g: &Graph) -> BTreeSet<FeatureKey> {
+        let mut out = BTreeSet::new();
+        self.for_each_fragment(g, |key, _| {
+            out.insert(key);
         });
         out
     }

@@ -30,18 +30,6 @@ pub fn query_trees(query: &Graph, max_edges: usize) -> BTreeMap<FeatureKey, usiz
     enumerate_trees(query, max_edges)
 }
 
-/// Enumerates each subtree of `g` as a standalone [`Graph`] alongside its
-/// canonical key. Used by the frequent-tree miner, which needs the fragment
-/// structure (not just the key) to compute sub-feature relationships.
-pub fn enumerate_tree_fragments(g: &Graph, max_edges: usize) -> Vec<(FeatureKey, Graph)> {
-    let mut out = Vec::new();
-    for_each_connected_edge_subset(g, max_edges, true, |edges| {
-        let fragment = subgraph_from_edges(g, edges);
-        out.push((tree_key(&fragment), fragment));
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,16 +82,6 @@ mod tests {
     fn query_trees_is_an_alias() {
         let g = star3();
         assert_eq!(query_trees(&g, 3), enumerate_trees(&g, 3));
-    }
-
-    #[test]
-    fn fragments_are_trees_and_match_keys() {
-        let g = star3();
-        for (key, fragment) in enumerate_tree_fragments(&g, 3) {
-            assert_eq!(fragment.edge_count(), fragment.vertex_count() - 1);
-            assert!(sqbench_graph::algo::is_connected(&fragment));
-            assert_eq!(tree_key(&fragment), key);
-        }
     }
 
     #[test]

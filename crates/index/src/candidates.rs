@@ -23,7 +23,7 @@
 //! reference the engine is property-tested against.
 
 use crate::fcache::FilterCacheCtx;
-use sqbench_graph::GraphId;
+use sqbench_graph::{Dataset, GraphId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -460,12 +460,13 @@ impl PostingList {
 /// The dead-id mask every mutable index carries: a sorted list of removed
 /// graph ids over the (dense, stable) id space of its dataset.
 ///
-/// Removal is two-phase. [`Tombstones::mark`] records the dead id; every
-/// `filter_into` path then ends with [`Tombstones::apply`], which clears
-/// dead bits from the candidate set — this covers posting payloads that
-/// still mention the id *and* the "unconstrained → full set" fallbacks
-/// (Scan, folds with no indexed feature). When the mask grows past
-/// [`Tombstones::should_compact`], the owning index purges its payloads
+/// Removal is two-phase, and both phases live in the provided methods of
+/// [`crate::GraphIndex`]. `remove` records the dead id
+/// ([`Tombstones::mark`]); `filter_into` ends with [`Tombstones::apply`],
+/// which clears dead bits from the candidate set — this covers posting
+/// payloads that still mention the id *and* the "unconstrained → full set"
+/// fallbacks (Scan, folds with no indexed feature). When the mask grows past
+/// [`Tombstones::should_compact`], `remove` has the index purge its payloads
 /// ([`PostingList::compact`], trie purge, …) — but the mask itself is
 /// **kept**, because the full-set fallbacks never consult payloads at all.
 #[derive(Debug, Clone, Default)]
@@ -558,9 +559,9 @@ impl Tombstones {
         &self.dead
     }
 
-    /// Clears every dead bit from `out` — the mandatory closing step of
-    /// every `filter_into` path of a mutable index (nothing after it may
-    /// set a bit). One wide AND-NOT sweep over the maintained block mask;
+    /// Clears every dead bit from `out` — the closing step of
+    /// [`crate::GraphIndex::filter_into`] (nothing after it may set a bit).
+    /// One wide AND-NOT sweep over the maintained block mask;
     /// dead ids above `out`'s universe fall off the end of the zip.
     pub fn apply(&self, out: &mut CandidateSet) {
         if self.dead.is_empty() {
@@ -591,6 +592,55 @@ impl Tombstones {
         std::mem::size_of::<Self>()
             + self.dead.capacity() * std::mem::size_of::<GraphId>()
             + self.mask.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+/// The id space of one mutable index: how many ids were ever issued (dense
+/// and stable — dead slots stay allocated) and which of them are dead. Every
+/// method holds exactly one and hands it to the provided lifecycle methods of
+/// [`crate::GraphIndex`] (`universe`, `insert`, `remove`, `filter_into`),
+/// which are the only code that advances it.
+#[derive(Debug, Clone)]
+pub struct IdSpace {
+    universe: usize,
+    tombstones: Tombstones,
+}
+
+impl IdSpace {
+    /// The id space of `dataset`: every slot it has, dead ones included, so
+    /// an index built over a previously mutated dataset starts consistent.
+    pub fn of(dataset: &Dataset) -> Self {
+        IdSpace {
+            universe: dataset.len(),
+            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
+        }
+    }
+
+    /// Number of ids issued so far, dead ones included.
+    pub fn universe(&self) -> usize {
+        self.universe
+    }
+
+    /// The removed ids.
+    pub fn tombstones(&self) -> &Tombstones {
+        &self.tombstones
+    }
+
+    /// Issues the next id.
+    pub(crate) fn issue(&mut self) -> GraphId {
+        self.universe += 1;
+        self.universe - 1
+    }
+
+    /// Marks `id` dead. `false` when it was never issued or already is.
+    pub(crate) fn retire(&mut self, id: GraphId) -> bool {
+        id < self.universe && self.tombstones.mark(id)
+    }
+
+    /// The compaction policy: `true` when enough of the id space is dead
+    /// that purging posting payloads pays for itself.
+    pub(crate) fn should_compact(&self) -> bool {
+        self.tombstones.should_compact(self.universe)
     }
 }
 

@@ -12,8 +12,9 @@
 //! extra ordering heuristics, which is how CT-Index compensates for the
 //! filtering power lost to hash collisions.
 
-use crate::candidates::{CandidateSet, Tombstones};
+use crate::candidates::{CandidateSet, IdSpace};
 use crate::config::CtIndexConfig;
+use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_features::cycles::enumerate_cycles;
 use sqbench_features::trees::enumerate_trees;
@@ -25,31 +26,26 @@ use sqbench_iso::TunedMatcher;
 #[derive(Debug, Clone)]
 pub struct CtIndex {
     config: CtIndexConfig,
-    /// One fingerprint per dataset graph, indexed by graph id.
-    fingerprints: Vec<Fingerprint>,
-    /// Total number of (non-distinct) features hashed, for statistics.
-    hashed_features: usize,
-    /// Removed ids. A dead slot's fingerprint is swapped for an empty one
-    /// (which still `covers()` an empty query fingerprint), so the mask —
-    /// not the fingerprint — is what keeps dead ids out of candidates.
-    tombstones: Tombstones,
+    /// One slot per dataset graph, indexed by graph id: its fingerprint and
+    /// the number of features hashed into it (for statistics). A dead slot
+    /// holds an empty fingerprint (which still `covers()` an empty query
+    /// fingerprint), so the tombstone mask — not the fingerprint — is what
+    /// keeps dead ids out of candidates.
+    slots: Vec<(Fingerprint, usize)>,
+    ids: IdSpace,
 }
 
 impl CtIndex {
     /// Builds the index over a dataset.
     pub fn build(dataset: &Dataset, config: CtIndexConfig) -> Self {
-        let mut fingerprints = Vec::with_capacity(dataset.len());
-        let mut hashed_features = 0usize;
-        for (_, graph) in dataset.iter() {
-            let (fp, count) = Self::fingerprint_of(graph, &config);
-            hashed_features += count;
-            fingerprints.push(fp);
-        }
+        let slots = dataset
+            .iter()
+            .map(|(_, graph)| Self::fingerprint_of(graph, &config))
+            .collect();
         CtIndex {
-            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
+            ids: IdSpace::of(dataset),
             config,
-            fingerprints,
-            hashed_features,
+            slots,
         }
     }
 
@@ -76,7 +72,7 @@ impl CtIndex {
 
     /// Fingerprint of graph `gid` (for tests and diagnostics).
     pub fn fingerprint(&self, gid: GraphId) -> Option<&Fingerprint> {
-        self.fingerprints.get(gid)
+        self.slots.get(gid).map(|(fp, _)| fp)
     }
 }
 
@@ -85,50 +81,48 @@ impl GraphIndex for CtIndex {
         MethodKind::CtIndex
     }
 
-    fn universe(&self) -> usize {
-        self.fingerprints.len()
+    fn id_space(&self) -> &IdSpace {
+        &self.ids
     }
 
-    fn insert(&mut self, graph: &Graph) -> GraphId {
-        let id = self.fingerprints.len();
-        let (fp, count) = Self::fingerprint_of(graph, &self.config);
-        self.hashed_features += count;
-        self.fingerprints.push(fp);
-        id
+    fn id_space_mut(&mut self) -> &mut IdSpace {
+        &mut self.ids
     }
 
-    fn remove(&mut self, id: GraphId) -> bool {
-        if id >= self.fingerprints.len() || !self.tombstones.mark(id) {
-            return false;
-        }
-        // Eager per-slot compaction: the fingerprint is dense per-graph
-        // state (512 B at the paper's width), so reclaim it immediately
-        // rather than waiting for a threshold sweep.
-        self.fingerprints[id] = Fingerprint::new(self.config.fingerprint_bits);
-        true
+    fn append(&mut self, gid: GraphId, graph: &Graph) {
+        debug_assert_eq!(gid, self.slots.len(), "slots are indexed by graph id");
+        self.slots.push(Self::fingerprint_of(graph, &self.config));
     }
 
-    fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
+    /// The fingerprint is dense per-graph state (512 B at the paper's
+    /// width), so it is given back immediately rather than waiting for a
+    /// threshold sweep — and its feature count with it, so the statistics
+    /// of a mutated index equal a rebuild's.
+    fn reclaim_slot(&mut self, id: GraphId) {
+        self.slots[id] = (Fingerprint::new(self.config.fingerprint_bits), 0);
+    }
+
+    fn candidates_into(
+        &self,
+        query: &Graph,
+        out: &mut CandidateSet,
+        _ctx: Option<&mut FilterCacheCtx<'_>>,
+    ) {
         let (query_fp, _) = Self::fingerprint_of(query, &self.config);
         // A single id-ordered scan with no intersection stage: each covering
         // fingerprint sets its graph's bit in the borrowed arena.
-        out.reset_empty(self.fingerprints.len());
-        for (gid, graph_fp) in self.fingerprints.iter().enumerate() {
+        out.reset_empty(self.slots.len());
+        for (gid, (graph_fp, _)) in self.slots.iter().enumerate() {
             if graph_fp.covers(&query_fp) {
                 out.insert(gid);
             }
         }
-        self.tombstones.apply(out);
     }
 
     fn stats(&self) -> IndexStats {
         IndexStats {
-            distinct_features: self.hashed_features,
-            size_bytes: self
-                .fingerprints
-                .iter()
-                .map(Fingerprint::memory_bytes)
-                .sum(),
+            distinct_features: self.slots.iter().map(|(_, features)| features).sum(),
+            size_bytes: self.slots.iter().map(|(fp, _)| fp.memory_bytes()).sum(),
         }
     }
 
@@ -271,37 +265,6 @@ mod tests {
         let expected = ds.len() * (4096 / 8);
         let size = idx.stats().size_bytes;
         assert!(size >= expected && size <= expected * 2);
-    }
-
-    #[test]
-    fn insert_and_remove_track_rebuild_answers() {
-        let mut ds = dataset();
-        let mut idx = CtIndex::build(&ds, CtIndexConfig::default());
-        let extra = GraphBuilder::new("extra")
-            .vertices(&[1, 2, 3, 3])
-            .edges(&[(0, 1), (1, 2), (2, 3)])
-            .build()
-            .unwrap();
-        assert_eq!(idx.insert(&extra), 3);
-        ds.push(extra);
-        assert!(idx.remove(1));
-        assert!(!idx.remove(1));
-        ds.remove(1);
-
-        let rebuilt = CtIndex::build(&ds, CtIndexConfig::default());
-        for (labels, edges) in [
-            (vec![1u32, 2], vec![(0usize, 1usize)]),
-            (vec![2, 3], vec![(0, 1)]),
-            (vec![1, 1, 2], vec![(0, 1), (1, 2), (2, 0)]),
-        ] {
-            let q = query(&labels, &edges);
-            assert_eq!(idx.query(&ds, &q).answers, rebuilt.query(&ds, &q).answers);
-            assert_eq!(idx.query(&ds, &q).answers, exhaustive_answers(&ds, &q));
-        }
-        // The empty query exercises the "empty fingerprint covers empty
-        // query" corner: only the tombstone mask keeps id 1 out.
-        let empty = idx.query(&ds, &Graph::new("empty"));
-        assert_eq!(empty.answers, vec![0, 2, 3]);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! eigenvalues are stored — as in gCode — but serve no pruning purpose
 //! here. This keeps the filter free of false dismissals.
 
-use crate::candidates::{CandidateSet, Tombstones};
+use crate::candidates::{CandidateSet, IdSpace};
 use crate::config::GCodeConfig;
+use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_graph::{Dataset, Graph, GraphId, VertexId};
 
@@ -278,11 +279,11 @@ fn normalize(x: &mut [f64]) -> f64 {
 #[derive(Debug, Clone)]
 pub struct GCodeIndex {
     config: GCodeConfig,
-    codes: Vec<GraphCode>,
-    /// Removed ids. A dead slot's code is swapped for an empty-graph code
-    /// (which still covers an empty query), so the mask — not the code —
+    /// Indexed by graph id. A dead slot holds an empty-graph code (which
+    /// still covers an empty query), so the tombstone mask — not the code —
     /// keeps dead ids out of candidates.
-    tombstones: Tombstones,
+    codes: Vec<GraphCode>,
+    ids: IdSpace,
 }
 
 impl GCodeIndex {
@@ -294,7 +295,7 @@ impl GCodeIndex {
             .map(|g| GraphCode::of(g, &config))
             .collect();
         GCodeIndex {
-            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
+            ids: IdSpace::of(dataset),
             config,
             codes,
         }
@@ -316,27 +317,31 @@ impl GraphIndex for GCodeIndex {
         MethodKind::GCode
     }
 
-    fn universe(&self) -> usize {
-        self.codes.len()
+    fn id_space(&self) -> &IdSpace {
+        &self.ids
     }
 
-    fn insert(&mut self, graph: &Graph) -> GraphId {
-        let id = self.codes.len();
+    fn id_space_mut(&mut self) -> &mut IdSpace {
+        &mut self.ids
+    }
+
+    fn append(&mut self, gid: GraphId, graph: &Graph) {
+        debug_assert_eq!(gid, self.codes.len(), "codes are indexed by graph id");
         self.codes.push(GraphCode::of(graph, &self.config));
-        id
     }
 
-    fn remove(&mut self, id: GraphId) -> bool {
-        if id >= self.codes.len() || !self.tombstones.mark(id) {
-            return false;
-        }
-        // Eager per-slot compaction: the code is dense per-graph state
-        // (signatures per vertex), so reclaim it immediately.
+    /// The code is dense per-graph state (signatures per vertex), so it is
+    /// given back immediately.
+    fn reclaim_slot(&mut self, id: GraphId) {
         self.codes[id] = GraphCode::of(&Graph::new("<dead>"), &self.config);
-        true
     }
 
-    fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
+    fn candidates_into(
+        &self,
+        query: &Graph,
+        out: &mut CandidateSet,
+        _ctx: Option<&mut FilterCacheCtx<'_>>,
+    ) {
         let query_code = GraphCode::of(query, &self.config);
         // A single id-ordered scan with no intersection stage: each graph
         // whose spectral code covers the query's sets its bit directly.
@@ -346,7 +351,6 @@ impl GraphIndex for GCodeIndex {
                 out.insert(gid);
             }
         }
-        self.tombstones.apply(out);
     }
 
     fn stats(&self) -> IndexStats {
@@ -502,34 +506,5 @@ mod tests {
         let idx = GCodeIndex::build(&ds, GCodeConfig::default());
         let outcome = idx.query(&ds, &Graph::new("empty"));
         assert_eq!(outcome.answers, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn insert_and_remove_track_rebuild_answers() {
-        let mut ds = dataset();
-        let mut idx = GCodeIndex::build(&ds, GCodeConfig::default());
-        let extra = GraphBuilder::new("extra")
-            .vertices(&[1, 2, 3])
-            .edges(&[(0, 1), (0, 2)])
-            .build()
-            .unwrap();
-        assert_eq!(idx.insert(&extra), 3);
-        ds.push(extra);
-        assert!(idx.remove(0));
-        assert!(!idx.remove(0));
-        ds.remove(0);
-
-        let rebuilt = GCodeIndex::build(&ds, GCodeConfig::default());
-        for (labels, edges) in [
-            (vec![1u32, 2], vec![(0usize, 1usize)]),
-            (vec![1, 2, 3], vec![(0, 1), (1, 2)]),
-            (vec![2, 1, 1], vec![(0, 1), (0, 2)]),
-        ] {
-            let q = query(&labels, &edges);
-            assert_eq!(idx.query(&ds, &q).answers, rebuilt.query(&ds, &q).answers);
-            assert_eq!(idx.query(&ds, &q).answers, exhaustive_answers(&ds, &q));
-        }
-        let empty = idx.query(&ds, &Graph::new("empty"));
-        assert_eq!(empty.answers, vec![1, 2, 3], "dead id 0 masked out");
     }
 }

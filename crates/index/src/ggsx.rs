@@ -11,14 +11,14 @@
 //! occurrences than the query requires, and verifies the surviving
 //! candidates with VF2.
 
-use crate::candidates::{fold_rarest_first, CandidateSet, Posting, Tombstones};
+use crate::candidates::{fold_rarest_first, CandidateSet, IdSpace, Posting};
 use crate::config::GgsxConfig;
 use crate::fcache::FilterCacheCtx;
 use crate::path_trie::{PathEntry, PathTrie};
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_features::paths::for_each_path;
 use sqbench_graph::{Dataset, Graph, GraphId, Label};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One query path as the shared fold sees it: the trie payload of its label
 /// sequence, of which only the graphs recording at least `min_count`
@@ -54,52 +54,49 @@ impl Posting for TriePosting<'_> {
     }
 }
 
-/// The count-pruning trie fold GGSX and Grapes share (identical trie
-/// contents, identical pruning rule): every query path is looked up once, and
-/// a label sequence no dataset graph has prunes everything.
-pub(crate) fn fold_trie(
-    trie: &PathTrie,
-    universe: usize,
-    query_counts: &BTreeMap<Vec<Label>, u32>,
-    out: &mut CandidateSet,
-    ctx: Option<&mut FilterCacheCtx<'_>>,
-) {
-    let postings = query_counts.iter().map(|(labels, &min_count)| {
-        trie.lookup(labels).map(|payload| TriePosting {
-            labels,
-            payload,
-            min_count,
-        })
-    });
-    fold_rarest_first(out, universe, postings, ctx);
-}
-
-/// The GraphGrepSX index.
+/// The GraphGrepSX index — and the path-trie store Grapes is built on
+/// (identical trie contents, identical pruning rule; Grapes only adds start
+/// vertices to the payloads, see [`crate::grapes`]).
 #[derive(Debug, Clone)]
 pub struct GgsxIndex {
     config: GgsxConfig,
+    /// Payloads of dead graphs are purged lazily, when the lifecycle's
+    /// compaction policy says so.
     trie: PathTrie,
-    graph_count: usize,
-    /// Removed ids; trie payloads are purged lazily once the mask passes
-    /// the compaction threshold.
-    tombstones: Tombstones,
+    ids: IdSpace,
 }
 
 impl GgsxIndex {
     /// Builds the index over a dataset.
     pub fn build(dataset: &Dataset, config: GgsxConfig) -> Self {
-        let mut trie = PathTrie::new(false);
-        for (gid, graph) in dataset.iter() {
-            for_each_path(graph, config.max_path_edges, |labels, start| {
-                trie.insert(labels, gid, start);
-            });
-        }
-        GgsxIndex {
+        Self::build_strided(dataset, config, false, 0, 1)
+    }
+
+    /// Builds the store over every `stride`-th graph of `dataset` starting
+    /// at `first`, with or without start-vertex locations in the payloads.
+    /// The id space is the whole dataset's either way, so strided partial
+    /// stores [`GgsxIndex::merge`] into the full one.
+    pub(crate) fn build_strided(
+        dataset: &Dataset,
+        config: GgsxConfig,
+        store_locations: bool,
+        first: usize,
+        stride: usize,
+    ) -> Self {
+        let mut store = GgsxIndex {
             config,
-            trie,
-            graph_count: dataset.len(),
-            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
+            trie: PathTrie::new(store_locations),
+            ids: IdSpace::of(dataset),
+        };
+        for (gid, graph) in dataset.iter().skip(first).step_by(stride) {
+            store.append(gid, graph);
         }
+        store
+    }
+
+    /// Moves another partial store's payloads into this one.
+    pub(crate) fn merge(&mut self, other: GgsxIndex) {
+        self.trie.merge(other.trie);
     }
 
     /// The configuration the index was built with.
@@ -107,26 +104,27 @@ impl GgsxIndex {
         &self.config
     }
 
+    /// The trie (Grapes' location pass reads start vertices off it).
+    pub(crate) fn trie(&self) -> &PathTrie {
+        &self.trie
+    }
+
     /// Collects the query's path label sequences with their occurrence
-    /// counts (shared with Grapes, which uses the same pruning rule).
-    pub(crate) fn query_path_counts(
-        query: &Graph,
-        max_path_edges: usize,
-    ) -> BTreeMap<Vec<Label>, u32> {
+    /// counts.
+    pub(crate) fn query_path_counts(&self, query: &Graph) -> BTreeMap<Vec<Label>, u32> {
         let mut counts: BTreeMap<Vec<Label>, u32> = BTreeMap::new();
-        for_each_path(query, max_path_edges, |labels, _| {
+        for_each_path(query, self.config.max_path_edges, |labels, _| {
             *counts.entry(labels.to_vec()).or_insert(0) += 1;
         });
         counts
     }
 
-    /// The filtering stage behind both trait entry points. An empty query
-    /// has no path, applies no constraint and finishes as the full set — so
-    /// the tombstone mask goes last.
-    fn fold(&self, query: &Graph, out: &mut CandidateSet, ctx: Option<&mut FilterCacheCtx<'_>>) {
-        let query_counts = Self::query_path_counts(query, self.config.max_path_edges);
-        fold_trie(&self.trie, self.graph_count, &query_counts, out, ctx);
-        self.tombstones.apply(out);
+    /// Every graph id the trie payloads mention — live graphs always, dead
+    /// ones until the next purge. Exposed for the hot-loop ingest property
+    /// tests.
+    #[doc(hidden)]
+    pub fn posted_ids(&self) -> BTreeSet<GraphId> {
+        self.trie.graph_ids()
     }
 
     /// The seed's `Vec`-per-feature filtering, kept verbatim as the
@@ -134,9 +132,9 @@ impl GgsxIndex {
     /// against. Not part of the query path.
     #[doc(hidden)]
     pub fn filter_reference(&self, query: &Graph) -> Vec<GraphId> {
-        let query_counts = Self::query_path_counts(query, self.config.max_path_edges);
+        let query_counts = self.query_path_counts(query);
         if query_counts.is_empty() {
-            return (0..self.graph_count).collect();
+            return (0..self.ids.universe()).collect();
         }
         let mut candidates: Option<Vec<GraphId>> = None;
         for (labels, &query_count) in query_counts.iter() {
@@ -165,40 +163,43 @@ impl GraphIndex for GgsxIndex {
         MethodKind::Ggsx
     }
 
-    fn universe(&self) -> usize {
-        self.graph_count
+    fn id_space(&self) -> &IdSpace {
+        &self.ids
     }
 
-    fn insert(&mut self, graph: &Graph) -> GraphId {
-        let gid = self.graph_count;
+    fn id_space_mut(&mut self) -> &mut IdSpace {
+        &mut self.ids
+    }
+
+    fn append(&mut self, gid: GraphId, graph: &Graph) {
         for_each_path(graph, self.config.max_path_edges, |labels, start| {
             self.trie.insert(labels, gid, start);
         });
-        self.graph_count += 1;
-        gid
     }
 
-    fn remove(&mut self, id: GraphId) -> bool {
-        if id >= self.graph_count || !self.tombstones.mark(id) {
-            return false;
-        }
-        if self.tombstones.should_compact(self.graph_count) {
-            self.trie.purge(self.tombstones.ids());
-        }
-        true
+    fn purge_dead(&mut self) {
+        self.trie.purge(self.ids.tombstones().ids());
     }
 
-    fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        self.fold(query, out, None);
-    }
-
-    fn filter_into_cached(
+    /// The count-pruning trie fold: every query path is looked up once, and
+    /// a label sequence no dataset graph has prunes everything. An empty
+    /// query has no path, applies no constraint and finishes as the full
+    /// set.
+    fn candidates_into(
         &self,
         query: &Graph,
         out: &mut CandidateSet,
-        ctx: &mut FilterCacheCtx<'_>,
+        ctx: Option<&mut FilterCacheCtx<'_>>,
     ) {
-        self.fold(query, out, Some(ctx));
+        let query_counts = self.query_path_counts(query);
+        let postings = query_counts.iter().map(|(labels, &min_count)| {
+            self.trie.lookup(labels).map(|payload| TriePosting {
+                labels,
+                payload,
+                min_count,
+            })
+        });
+        fold_rarest_first(out, self.ids.universe(), postings, ctx);
     }
 
     fn stats(&self) -> IndexStats {
@@ -320,39 +321,6 @@ mod tests {
         let idx = GgsxIndex::build(&ds, GgsxConfig::default());
         let q = query(&[3], &[]);
         assert_eq!(idx.query(&ds, &q).answers, vec![1]);
-    }
-
-    #[test]
-    fn insert_and_remove_track_rebuild_answers() {
-        let mut ds = dataset();
-        let mut idx = GgsxIndex::build(&ds, GgsxConfig::default());
-        let extra = GraphBuilder::new("extra")
-            .vertices(&[1, 2, 3, 3])
-            .edges(&[(0, 1), (1, 2), (2, 3)])
-            .build()
-            .unwrap();
-        assert_eq!(idx.insert(&extra), 3);
-        ds.push(extra);
-        assert!(idx.remove(1));
-        assert!(!idx.remove(1));
-        ds.remove(1);
-
-        let rebuilt = GgsxIndex::build(&ds, GgsxConfig::default());
-        for (labels, edges) in [
-            (vec![1u32, 2], vec![(0usize, 1usize)]),
-            (vec![1, 2, 3], vec![(0, 1), (1, 2)]),
-            (vec![2, 1, 1], vec![(0, 1), (0, 2)]),
-        ] {
-            let q = query(&labels, &edges);
-            assert_eq!(idx.query(&ds, &q).answers, rebuilt.query(&ds, &q).answers);
-            assert_eq!(idx.query(&ds, &q).answers, exhaustive_answers(&ds, &q));
-        }
-        // The empty query takes the unconstrained → full-set path: only the
-        // tombstone mask keeps the dead id out.
-        assert_eq!(
-            idx.query(&ds, &Graph::new("empty")).candidates,
-            vec![0, 2, 3]
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! retained by mining simply contribute no constraint. Verification uses the
 //! shared VF2 first-match verifier.
 
-use crate::candidates::{fold_rarest_first, CandidateSet, SlicePosting, Tombstones};
+use crate::candidates::{fold_rarest_first, CandidateSet, IdSpace, SlicePosting};
 use crate::config::GIndexConfig;
 use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
@@ -23,33 +23,42 @@ use sqbench_features::mining::{FeatureKind, MinedFeatures, MiningConfig};
 use sqbench_features::FrequentMiner;
 use sqbench_graph::{Dataset, Graph, GraphId};
 
-/// The gIndex index.
+/// The gIndex index — and the frozen mined-support store Tree+Δ's tree stage
+/// is built on (the same store mined over subtrees instead of subgraphs, see
+/// [`crate::treedelta`]).
 #[derive(Debug, Clone)]
 pub struct GIndex {
     config: GIndexConfig,
+    /// Built once: the one enumerator behind mining, online inserts and
+    /// query processing, so all three key fragments identically.
+    miner: FrequentMiner,
+    /// The mined feature set is frozen at build time; only the support
+    /// lists change — appended to on insert, purged of dead ids lazily when
+    /// the lifecycle's compaction policy says so.
     features: MinedFeatures,
-    graph_count: usize,
-    /// Removed ids; posting payloads are compacted lazily once the mask
-    /// passes the compaction threshold.
-    tombstones: Tombstones,
+    ids: IdSpace,
 }
 
 impl GIndex {
     /// Builds the index over a dataset by mining frequent + discriminative
     /// fragments.
     pub fn build(dataset: &Dataset, config: GIndexConfig) -> Self {
-        let mining = MiningConfig {
+        Self::mine(dataset, config, FeatureKind::Subgraph)
+    }
+
+    /// Mines the store over fragments of the given structural class.
+    pub(crate) fn mine(dataset: &Dataset, config: GIndexConfig, kind: FeatureKind) -> Self {
+        let miner = FrequentMiner::new(MiningConfig {
             max_feature_edges: config.max_feature_edges,
             min_support_ratio: config.min_support_ratio,
             discriminative_ratio: config.discriminative_ratio,
-            kind: FeatureKind::Subgraph,
-        };
-        let features = FrequentMiner::new(mining).mine(dataset);
+            kind,
+        });
         GIndex {
+            features: miner.mine(dataset),
+            ids: IdSpace::of(dataset),
             config,
-            features,
-            graph_count: dataset.len(),
-            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
+            miner,
         }
     }
 
@@ -74,37 +83,18 @@ impl GIndex {
             .all(|f| f.supporting_graphs.windows(2).all(|w| w[0] < w[1]))
     }
 
-    fn mining_config(&self) -> MiningConfig {
-        MiningConfig {
-            max_feature_edges: self.config.max_feature_edges,
-            min_support_ratio: self.config.min_support_ratio,
-            discriminative_ratio: self.config.discriminative_ratio,
-            kind: FeatureKind::Subgraph,
-        }
-    }
-
-    /// The filtering stage behind both trait entry points: the query's
-    /// fragments are enumerated with the build-time enumerator and the
-    /// supports of those the index retained are folded ("f:" cache keys).
-    /// Fragments absent from the index impose no constraint (mining may have
-    /// pruned them as infrequent or non-discriminative), so a query none of
-    /// whose fragments are indexed finishes as the full set — hence the
-    /// tombstone mask last.
-    fn fold(&self, query: &Graph, out: &mut CandidateSet, ctx: Option<&mut FilterCacheCtx<'_>>) {
-        let miner = FrequentMiner::new(self.mining_config());
-        let query_fragments = miner.enumerate_graph(query);
-        let postings = query_fragments
-            .keys()
-            .filter_map(|key| self.features.get(key))
-            .map(|feature| {
-                Some(SlicePosting {
-                    tag: 'f',
-                    key: feature.key.as_str(),
-                    ids: &feature.supporting_graphs,
-                })
-            });
-        fold_rarest_first(out, self.graph_count, postings, ctx);
-        self.tombstones.apply(out);
+    /// The support lists of the query's fragments that the index retained,
+    /// in key order. Fragments absent from the index impose no constraint
+    /// (mining may have pruned them as infrequent or non-discriminative).
+    fn query_supports<'a>(
+        &'a self,
+        query: &Graph,
+    ) -> impl Iterator<Item = (&'a str, &'a [GraphId])> + 'a {
+        self.miner
+            .fragment_keys(query)
+            .into_iter()
+            .filter_map(|key| self.features.get(&key))
+            .map(|f| (f.key.as_str(), f.supporting_graphs.as_slice()))
     }
 
     /// The seed's `Vec`-per-feature filtering, kept verbatim as the
@@ -112,22 +102,17 @@ impl GIndex {
     /// against. Not part of the query path.
     #[doc(hidden)]
     pub fn filter_reference(&self, query: &Graph) -> Vec<GraphId> {
-        let miner = FrequentMiner::new(self.mining_config());
-        let query_fragments = miner.enumerate_graph(query);
         let mut candidates: Option<Vec<GraphId>> = None;
-        for key in query_fragments.keys() {
-            if let Some(feature) = self.features.get(key) {
-                let support = &feature.supporting_graphs;
-                candidates = Some(match candidates {
-                    None => support.clone(),
-                    Some(current) => crate::intersect_sorted(&current, support),
-                });
-                if candidates.as_ref().is_some_and(Vec::is_empty) {
-                    return Vec::new();
-                }
+        for (_, support) in self.query_supports(query) {
+            candidates = Some(match candidates {
+                None => support.to_vec(),
+                Some(current) => crate::intersect_sorted(&current, support),
+            });
+            if candidates.as_ref().is_some_and(Vec::is_empty) {
+                return Vec::new();
             }
         }
-        candidates.unwrap_or_else(|| (0..self.graph_count).collect())
+        candidates.unwrap_or_else(|| (0..self.ids.universe()).collect())
     }
 }
 
@@ -136,54 +121,54 @@ impl GraphIndex for GIndex {
         MethodKind::GIndex
     }
 
-    fn universe(&self) -> usize {
-        self.graph_count
+    fn id_space(&self) -> &IdSpace {
+        &self.ids
     }
 
-    fn insert(&mut self, graph: &Graph) -> GraphId {
-        let gid = self.graph_count;
-        // The mined feature set stays frozen (re-mining on every insert
-        // would be the full build cost); the new graph only joins the
-        // supports of features it contains. That can leave the candidate
-        // sets of *future* queries looser than a from-scratch re-mine would
-        // — sound, since verification is exact — but never misses: any
-        // indexed fragment the new graph contains now posts it.
-        let miner = FrequentMiner::new(self.mining_config());
-        for key in miner.enumerate_graph(graph).keys() {
-            if let Some(feature) = self.features.get_mut(key) {
+    fn id_space_mut(&mut self) -> &mut IdSpace {
+        &mut self.ids
+    }
+
+    /// The mined feature set stays frozen (re-mining on every insert would
+    /// be the full build cost); the new graph only joins the supports of
+    /// features it contains. That can leave the candidate sets of *future*
+    /// queries looser than a from-scratch re-mine would — sound, since
+    /// verification is exact — but never misses: any indexed fragment the
+    /// new graph contains now posts it.
+    fn append(&mut self, gid: GraphId, graph: &Graph) {
+        for key in self.miner.fragment_keys(graph) {
+            if let Some(feature) = self.features.get_mut(&key) {
                 // gid is the largest id ever issued, so the push keeps the
                 // support list sorted.
                 feature.supporting_graphs.push(gid);
             }
         }
-        self.graph_count += 1;
-        gid
     }
 
-    fn remove(&mut self, id: GraphId) -> bool {
-        if id >= self.graph_count || !self.tombstones.mark(id) {
-            return false;
+    fn purge_dead(&mut self) {
+        let dead = self.ids.tombstones();
+        for feature in self.features.values_mut() {
+            feature.supporting_graphs.retain(|g| !dead.contains(*g));
         }
-        if self.tombstones.should_compact(self.graph_count) {
-            let dead = &self.tombstones;
-            for feature in self.features.values_mut() {
-                feature.supporting_graphs.retain(|g| !dead.contains(*g));
-            }
-        }
-        true
     }
 
-    fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        self.fold(query, out, None);
-    }
-
-    fn filter_into_cached(
+    /// Folds the supports of the query's indexed fragments, cached under
+    /// "f:" (subgraph) or "t:" (tree) keys. A query none of whose fragments
+    /// are indexed finishes as the full set.
+    fn candidates_into(
         &self,
         query: &Graph,
         out: &mut CandidateSet,
-        ctx: &mut FilterCacheCtx<'_>,
+        ctx: Option<&mut FilterCacheCtx<'_>>,
     ) {
-        self.fold(query, out, Some(ctx));
+        let tag = match self.miner.config().kind {
+            FeatureKind::Subgraph => 'f',
+            FeatureKind::Tree => 't',
+        };
+        let postings = self
+            .query_supports(query)
+            .map(|(key, ids)| Some(SlicePosting { tag, key, ids }));
+        fold_rarest_first(out, self.ids.universe(), postings, ctx);
     }
 
     fn stats(&self) -> IndexStats {
@@ -327,40 +312,5 @@ mod tests {
         let outcome = idx.query(&ds, &Graph::new("empty"));
         assert_eq!(outcome.candidates, vec![0, 1, 2]);
         assert_eq!(outcome.answers, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn insert_and_remove_track_rebuild_answers() {
-        let mut ds = dataset();
-        let mut idx = GIndex::build(&ds, test_config());
-        let extra = GraphBuilder::new("extra")
-            .vertices(&[1, 1, 2])
-            .edges(&[(0, 1), (1, 2)])
-            .build()
-            .unwrap();
-        assert_eq!(idx.insert(&extra), 3);
-        ds.push(extra);
-        assert!(idx.remove(0));
-        assert!(!idx.remove(0));
-        ds.remove(0);
-
-        // Candidate sets may differ from a re-mined index (the feature set
-        // is frozen at build time) — verified answers must not.
-        let rebuilt = GIndex::build(&ds, test_config());
-        for (labels, edges) in [
-            (vec![1u32, 2], vec![(0usize, 1usize)]),
-            (vec![1, 1], vec![(0, 1)]),
-            (vec![1, 1, 2], vec![(0, 1), (1, 2), (2, 0)]),
-            (vec![2, 1, 1], vec![(0, 1), (0, 2)]),
-        ] {
-            let q = query(&labels, &edges);
-            assert_eq!(idx.query(&ds, &q).answers, rebuilt.query(&ds, &q).answers);
-            assert_eq!(idx.query(&ds, &q).answers, exhaustive_answers(&ds, &q));
-        }
-        assert_eq!(
-            idx.query(&ds, &Graph::new("empty")).answers,
-            vec![1, 2, 3],
-            "dead id masked on the unconstrained path"
-        );
     }
 }

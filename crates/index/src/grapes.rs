@@ -23,26 +23,23 @@
 //! match (the original GRAPES code enumerated all matches; the authors
 //! patched it for the study, and we implement the patched semantics).
 
-use crate::candidates::{CandidateSet, Tombstones};
-use crate::config::GrapesConfig;
+use crate::candidates::{CandidateSet, IdSpace};
+use crate::config::{GgsxConfig, GrapesConfig};
 use crate::fcache::FilterCacheCtx;
-use crate::ggsx::{fold_trie, GgsxIndex};
-use crate::path_trie::PathTrie;
+use crate::ggsx::GgsxIndex;
 use crate::{GraphIndex, IndexStats, MethodKind};
-use sqbench_features::paths::for_each_path;
 use sqbench_graph::{algo, Dataset, Graph, GraphId, Label, VertexId};
 use sqbench_iso::{MatchState, Vf2Matcher};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The Grapes index.
+/// The Grapes index: the GraphGrepSX path-trie store with start-vertex
+/// locations in its payloads — indexing, purging, statistics and the
+/// count-pruning filter are that store's — plus what Grapes adds: the
+/// parallel build, the location pass and component-restricted verification.
 #[derive(Debug, Clone)]
 pub struct GrapesIndex {
     config: GrapesConfig,
-    trie: PathTrie,
-    graph_count: usize,
-    /// Removed ids; trie payloads are purged lazily once the mask passes
-    /// the compaction threshold.
-    tombstones: Tombstones,
+    store: GgsxIndex,
 }
 
 impl GrapesIndex {
@@ -50,57 +47,27 @@ impl GrapesIndex {
     /// threads (single-threaded when `threads <= 1` or the dataset is tiny).
     pub fn build(dataset: &Dataset, config: GrapesConfig) -> Self {
         let threads = config.threads.max(1).min(dataset.len().max(1));
-        let trie = if threads <= 1 || dataset.len() < 2 {
-            Self::build_partition(dataset, &config, 0, 1)
-        } else {
-            // Each worker builds a partial trie over a slice of the dataset;
-            // the partial tries are merged afterwards (std scoped threads so
-            // we can borrow the dataset without Arc gymnastics).
-            let partials: Vec<PathTrie> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let config = &config;
-                        scope.spawn(move || Self::build_partition(dataset, config, worker, threads))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("grapes index worker panicked"))
-                    .collect()
-            });
-            let mut iter = partials.into_iter();
-            let mut merged = iter.next().expect("at least one partial trie");
-            for partial in iter {
-                merged.merge(partial);
-            }
-            merged
+        let partition = |worker: usize| {
+            let paths = GgsxConfig {
+                max_path_edges: config.max_path_edges,
+            };
+            GgsxIndex::build_strided(dataset, paths, true, worker, threads)
         };
-        GrapesIndex {
-            config,
-            trie,
-            graph_count: dataset.len(),
-            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
-        }
-    }
-
-    /// Builds the partial trie for the graphs assigned to `worker` (every
-    /// `stride`-th graph starting at `worker`).
-    fn build_partition(
-        dataset: &Dataset,
-        config: &GrapesConfig,
-        worker: usize,
-        stride: usize,
-    ) -> PathTrie {
-        let mut trie = PathTrie::new(true);
-        for (gid, graph) in dataset.iter() {
-            if gid % stride != worker {
-                continue;
+        // Each worker builds a partial store over every `threads`-th graph
+        // (the calling thread takes the first share), merged in worker order
+        // as they finish (std scoped threads so we can borrow the dataset
+        // without Arc gymnastics).
+        let store = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads)
+                .map(|worker| scope.spawn(move || partition(worker)))
+                .collect();
+            let mut store = partition(0);
+            for worker in workers {
+                store.merge(worker.join().expect("grapes index worker panicked"));
             }
-            for_each_path(graph, config.max_path_edges, |labels, start| {
-                trie.insert(labels, gid, start);
-            });
-        }
-        trie
+            store
+        });
+        GrapesIndex { config, store }
     }
 
     /// The configuration the index was built with.
@@ -108,14 +75,10 @@ impl GrapesIndex {
         &self.config
     }
 
-    /// The filtering stage behind both trait entry points: the same
-    /// count-pruning trie fold as GGSX, then the tombstone mask. Location
-    /// information is *not* computed (or cached) here — `verify_set`
-    /// recovers it from the trie for the surviving candidates only.
-    fn fold(&self, query: &Graph, out: &mut CandidateSet, ctx: Option<&mut FilterCacheCtx<'_>>) {
-        let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
-        fold_trie(&self.trie, self.graph_count, &query_counts, out, ctx);
-        self.tombstones.apply(out);
+    /// See [`GgsxIndex::posted_ids`].
+    #[doc(hidden)]
+    pub fn posted_ids(&self) -> BTreeSet<GraphId> {
+        self.store.posted_ids()
     }
 
     /// Location pass: unions the start vertices of every query path over the
@@ -131,7 +94,7 @@ impl GrapesIndex {
         // `len()` is cheap here — the candidate set caches its cardinality —
         // so no hand-hoisting into a local.
         for labels in query_counts.keys() {
-            if let Some(payload) = self.trie.lookup(labels) {
+            if let Some(payload) = self.store.trie().lookup(labels) {
                 if survivors.len() <= payload.len() {
                     for gid in survivors.iter() {
                         if let Some(entry) = payload.get(&gid) {
@@ -189,40 +152,36 @@ impl GraphIndex for GrapesIndex {
         MethodKind::Grapes
     }
 
-    fn universe(&self) -> usize {
-        self.graph_count
+    fn id_space(&self) -> &IdSpace {
+        self.store.id_space()
     }
 
-    fn insert(&mut self, graph: &Graph) -> GraphId {
-        let gid = self.graph_count;
-        for_each_path(graph, self.config.max_path_edges, |labels, start| {
-            self.trie.insert(labels, gid, start);
-        });
-        self.graph_count += 1;
-        gid
+    fn id_space_mut(&mut self) -> &mut IdSpace {
+        self.store.id_space_mut()
     }
 
-    fn remove(&mut self, id: GraphId) -> bool {
-        if id >= self.graph_count || !self.tombstones.mark(id) {
-            return false;
-        }
-        if self.tombstones.should_compact(self.graph_count) {
-            self.trie.purge(self.tombstones.ids());
-        }
-        true
+    fn append(&mut self, gid: GraphId, graph: &Graph) {
+        self.store.append(gid, graph);
     }
 
-    fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        self.fold(query, out, None);
+    fn purge_dead(&mut self) {
+        self.store.purge_dead();
     }
 
-    fn filter_into_cached(
+    /// The same count-pruning trie fold as GGSX. Location information is
+    /// *not* computed (or cached) here — `verify_set` recovers it from the
+    /// trie for the surviving candidates only.
+    fn candidates_into(
         &self,
         query: &Graph,
         out: &mut CandidateSet,
-        ctx: &mut FilterCacheCtx<'_>,
+        ctx: Option<&mut FilterCacheCtx<'_>>,
     ) {
-        self.fold(query, out, Some(ctx));
+        self.store.candidates_into(query, out, ctx);
+    }
+
+    fn stats(&self) -> IndexStats {
+        self.store.stats()
     }
 
     fn verify_set(
@@ -240,7 +199,7 @@ impl GraphIndex for GrapesIndex {
         // a second time here (the staged trait API hands over only the
         // candidate bits); the component restriction the locations buy far
         // outweighs one extra walk of a small query.
-        let query_counts = GgsxIndex::query_path_counts(query, self.config.max_path_edges);
+        let query_counts = self.store.query_path_counts(query);
         let locations = self.locations_for(&query_counts, candidates);
         let matcher = Vf2Matcher::new(query);
         // Per-query thread fan-out only pays for itself on large candidate
@@ -281,13 +240,6 @@ impl GraphIndex for GrapesIndex {
                     })
                     .collect()
             })
-        }
-    }
-
-    fn stats(&self) -> IndexStats {
-        IndexStats {
-            distinct_features: self.trie.distinct_paths(),
-            size_bytes: self.trie.memory_bytes(),
         }
     }
 }
@@ -393,7 +345,10 @@ mod tests {
         let q = query(&[1, 2], &[(0, 1)]);
         assert_eq!(seq.query(&ds, &q).candidates, par.query(&ds, &q).candidates);
         assert_eq!(seq.stats().distinct_features, par.stats().distinct_features);
-        assert_eq!(seq.trie.inserted_paths(), par.trie.inserted_paths());
+        assert_eq!(
+            seq.store.trie().inserted_paths(),
+            par.store.trie().inserted_paths()
+        );
     }
 
     #[test]
@@ -428,7 +383,7 @@ mod tests {
         let mut candidates = CandidateSet::empty(0);
         idx.filter_into(&q, &mut candidates);
         assert!(!candidates.is_empty());
-        let counts = GgsxIndex::query_path_counts(&q, idx.config().max_path_edges);
+        let counts = idx.store.query_path_counts(&q);
         let locations = idx.locations_for(&counts, &candidates);
         for gid in candidates.iter() {
             let locs = locations.get(&gid).expect("candidate has locations");
@@ -500,34 +455,6 @@ mod tests {
         let grapes = GrapesIndex::build(&ds, GrapesConfig::default());
         let ggsx = crate::ggsx::GgsxIndex::build(&ds, crate::GgsxConfig::default());
         assert!(grapes.stats().size_bytes >= ggsx.stats().size_bytes);
-    }
-
-    #[test]
-    fn insert_and_remove_track_rebuild_answers() {
-        let mut ds = dataset();
-        let mut idx = GrapesIndex::build(&ds, GrapesConfig::default());
-        let extra = GraphBuilder::new("extra")
-            .vertices(&[1, 2, 3, 3])
-            .edges(&[(0, 1), (1, 2), (2, 3)])
-            .build()
-            .unwrap();
-        assert_eq!(idx.insert(&extra), 4);
-        ds.push(extra);
-        assert!(idx.remove(0));
-        assert!(!idx.remove(0));
-        ds.remove(0);
-
-        let rebuilt = GrapesIndex::build(&ds, GrapesConfig::default());
-        for (labels, edges) in [
-            (vec![1u32, 2], vec![(0usize, 1usize)]),
-            (vec![1, 2, 3], vec![(0, 1), (1, 2)]),
-            (vec![3, 3], vec![(0, 1)]),
-            (vec![1, 1], vec![(0, 1)]),
-        ] {
-            let q = query(&labels, &edges);
-            assert_eq!(idx.query(&ds, &q).answers, rebuilt.query(&ds, &q).answers);
-            assert_eq!(idx.query(&ds, &q).answers, exhaustive_answers(&ds, &q));
-        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The six indexed subgraph query processing methods evaluated in the VLDB
 //! 2015 paper, implemented behind a common [`GraphIndex`] trait:
 //!
-//! | Method | Features | Extraction | Index structure | Location info | Borrowed-set filter ([`GraphIndex::filter_into`]) |
+//! | Method | Features | Extraction | Index structure | Location info | Candidate routine ([`GraphIndex::candidates_into`]) |
 //! |---|---|---|---|---|---|
-//! | [`grapes::GrapesIndex`] | paths | exhaustive | trie | yes (start vertices) | the shared fold over trie payloads |
+//! | [`grapes::GrapesIndex`] | paths | exhaustive | trie | yes (start vertices) | the GGSX store's |
 //! | [`ggsx::GgsxIndex`] (GraphGrepSX) | paths | exhaustive | suffix-tree-style trie | no (counts only) | the shared fold over trie payloads |
 //! | [`ctindex::CtIndex`] | trees + cycles | exhaustive | hashed bit fingerprints | no | direct id-ordered scan, bits set in place |
 //! | [`gindex::GIndex`] | subgraphs | frequent mining | feature map (prefix-tree order) | no | the shared fold over mined supports |
-//! | [`treedelta::TreeDeltaIndex`] | trees (+ on-demand cycles) | frequent mining | hash map | no | the shared fold over tree, then Δ supports |
+//! | [`treedelta::TreeDeltaIndex`] | trees (+ on-demand cycles) | frequent mining | hash map | no | the gIndex store's over trees, then the fold over Δ supports |
 //! | [`gcode::GCodeIndex`] | paths (encoded) | exhaustive | spectral vertex/graph signatures | no | direct id-ordered scan, bits set in place |
 //! | [`scan::ScanBaseline`] (baseline) | — | — | none | no | arena reset to the full set |
 //!
@@ -27,11 +27,13 @@
 //! a query service hands each worker's reusable arena to it, so serving a
 //! query allocates no candidate `Vec` and no fresh bitset. CT-Index and gCode
 //! scan per-graph structures in id order and have no intersection stage;
-//! their `filter_into` sets the matching bits directly.
+//! they set the matching bits directly.
 //!
 //! ## The borrowed-set filter contract
 //!
-//! `filter_into(&self, query, out)` must:
+//! `filter_into(&self, query, out)` is provided by the trait: the method's
+//! [`GraphIndex::candidates_into`], then the tombstone mask. The candidate
+//! routine must:
 //!
 //! 1. reset `out` to this index's [`GraphIndex::universe`] (arena sets are
 //!    reused across queries *and across indexes/datasets*, so stale bits and
@@ -51,25 +53,28 @@
 //! over a shared [`fcache::FeatureCacheStore`], and the posting-fold
 //! methods (Grapes, GGSX, gIndex, Tree+Δ) then fold hot per-feature
 //! bitsets via [`candidates::ArenaFold::apply_set`] instead of re-walking
-//! their trie payloads and support lists. Behind the two trait methods each
-//! of those methods has a single fold; the cache is an optional argument to
-//! it, not a second implementation, and cached and uncached filtering
-//! produce bit-identical candidate sets. Methods whose filters are direct
-//! id-ordered scans (CT-Index, gCode, the scan baseline) have no
-//! per-feature posting lists to cache and keep the trait default, which
-//! ignores the cache.
+//! their trie payloads and support lists. Both entry points are provided and
+//! call the same candidate routine; the cache is an optional argument to it,
+//! not a second implementation, and cached and uncached filtering produce
+//! bit-identical candidate sets. Methods whose filters are direct id-ordered
+//! scans (CT-Index, gCode, the scan baseline) have no per-feature posting
+//! lists to cache and ignore the argument.
 //!
 //! ## Online ingest
 //!
 //! Every index is mutable through [`GraphIndex::insert`] /
 //! [`GraphIndex::remove`], mirroring the mutation surface of
 //! [`sqbench_graph::Dataset`] (dense stable ids: insert appends the next
-//! id, remove tombstones a slot). Inserts extend the method's payloads
-//! incrementally — trie/posting appends for the path and mined-feature
-//! methods, per-graph fingerprint/signature appends for the scan-shaped
-//! ones. Removals are two-phase: a shared [`candidates::Tombstones`] mask
-//! is applied at the end of every `filter_into` path immediately, and the
-//! payloads themselves are compacted lazily once the mask passes
+//! id, remove tombstones a slot). That lifecycle is written once, as
+//! provided methods over the index's [`candidates::IdSpace`]; a method
+//! supplies only its payload hooks. [`GraphIndex::append`] extends the
+//! payloads incrementally — trie/posting appends in the two stores the path
+//! and mined-feature methods share (GGSX's trie under Grapes, gIndex's
+//! supports under Tree+Δ), per-graph fingerprint/signature pushes for the
+//! scan-shaped ones. Removals are two-phase: the [`candidates::Tombstones`]
+//! mask closes every `filter_into` immediately, a per-graph slot is given
+//! back at once ([`GraphIndex::reclaim_slot`]), and posting payloads are
+//! purged lazily ([`GraphIndex::purge_dead`]) once the mask passes
 //! [`candidates::Tombstones::should_compact`]. The answer contract is
 //! exact-by-verification: a mutated index may grow a *different* (still
 //! sound) candidate set than a from-scratch rebuild — gIndex keeps its
@@ -94,7 +99,7 @@ pub mod treedelta;
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_iso::{MatchState, Vf2Matcher};
 
-pub use candidates::{ArenaFold, CandidateSet, PostingList, Tombstones};
+pub use candidates::{ArenaFold, CandidateSet, IdSpace, PostingList, Tombstones};
 pub use config::{
     CtIndexConfig, GCodeConfig, GIndexConfig, GgsxConfig, GrapesConfig, MethodConfig,
     TreeDeltaConfig,
@@ -184,21 +189,69 @@ pub struct IndexStats {
 /// Common interface of the six filter-and-verify methods.
 ///
 /// Indexes are built once over a [`Dataset`] (by each method's `build`
-/// constructor) and then answer any number of subgraph queries. Each method
-/// implements the borrowed-set filtering entry point [`GraphIndex::filter_into`]
-/// (see the module docs for the contract); `query` is a thin default wrapper
-/// that no method overrides. The default [`GraphIndex::verify_set`] uses the
-/// VF2 first-match verifier the paper standardizes on; Grapes and CT-Index
-/// override it with their specialized procedures, and Tree+Δ hooks
-/// query-time feature learning into it.
+/// constructor), answer any number of subgraph queries and stay mutable.
+///
+/// **A method implements what differs between methods:** `kind`, the two
+/// accessors of its one [`IdSpace`], `append`, `candidates_into`, `stats`,
+/// and — where it has payload to give back — `reclaim_slot` (eager: CT-Index,
+/// gCode) or `purge_dead` (lazy: the four posting methods).
+///
+/// **It inherits the lifecycle, which therefore exists once:** `universe`,
+/// `insert`, `remove`, `filter_into`, `filter_into_cached`, `size_bytes` and
+/// `query`; no method overrides any of them. The default
+/// [`GraphIndex::verify_set`] uses the VF2 first-match verifier the paper
+/// standardizes on; Grapes and CT-Index override it with their specialized
+/// procedures, and Tree+Δ hooks query-time feature learning into it.
 pub trait GraphIndex: Send + Sync {
     /// Which method this index implements.
     fn kind(&self) -> MethodKind;
 
-    /// Number of graphs in the dataset this index was built over — the
-    /// universe every candidate set for this index ranges over. Includes
-    /// tombstoned (removed) slots: ids are dense and stable under mutation.
-    fn universe(&self) -> usize;
+    /// The index's id space: ids issued and ids dead.
+    fn id_space(&self) -> &IdSpace;
+
+    /// Mutable access to the same [`IdSpace`], for the provided lifecycle
+    /// methods.
+    fn id_space_mut(&mut self) -> &mut IdSpace;
+
+    /// Indexes `graph`'s payload under the freshly issued id `gid` — the
+    /// method-specific half of [`GraphIndex::insert`], which is its only
+    /// caller. Payloads are extended in place (posting/trie append,
+    /// fingerprint push); none rebuilds from scratch.
+    fn append(&mut self, gid: GraphId, graph: &Graph);
+
+    /// Gives back the per-graph slot of the just-removed `id` — the eager
+    /// form of payload reclamation, for methods whose payload is one dense
+    /// record per graph (CT-Index, gCode). Called by [`GraphIndex::remove`]
+    /// on every successful removal. The slot must keep covering the empty
+    /// query; the tombstone mask is what keeps the id out of candidates.
+    fn reclaim_slot(&mut self, _id: GraphId) {}
+
+    /// Drops every dead id of [`GraphIndex::id_space`] from the posting
+    /// payloads — the lazy form of payload reclamation, for the methods that
+    /// post graph ids under features. Called by [`GraphIndex::remove`] only
+    /// when the compaction policy says the sweep pays for itself.
+    fn purge_dead(&mut self) {}
+
+    /// The filtering stage proper: resets `out` to
+    /// [`GraphIndex::universe`] and narrows it to the candidate set of
+    /// `query`, **without** the tombstone mask (the provided entry points
+    /// apply it). With `ctx` present a posting-fold method folds hot
+    /// per-feature bitsets from the cross-query cache instead of streaming
+    /// its payloads; the bits left in `out` are identical either way.
+    /// Methods whose filter is a direct id-ordered scan ignore `ctx`.
+    fn candidates_into(
+        &self,
+        query: &Graph,
+        out: &mut CandidateSet,
+        ctx: Option<&mut FilterCacheCtx<'_>>,
+    );
+
+    /// Number of graphs this index has ever admitted — the universe every
+    /// candidate set for this index ranges over. Includes tombstoned
+    /// (removed) slots: ids are dense and stable under mutation.
+    fn universe(&self) -> usize {
+        self.id_space().universe()
+    }
 
     /// Incrementally indexes `graph` as the next graph id (which is the
     /// current [`GraphIndex::universe`]) and returns that id. The caller
@@ -206,46 +259,58 @@ pub trait GraphIndex: Send + Sync {
     /// ([`sqbench_graph::Dataset::push`]) so ids stay aligned — the serving
     /// layer (`ShardedService::insert_graph` in the harness) does both
     /// sides and invalidates caches.
-    ///
-    /// Methods extend their payloads in place (posting/trie append,
-    /// fingerprint push); none rebuilds from scratch on insert.
-    fn insert(&mut self, graph: &Graph) -> GraphId;
+    fn insert(&mut self, graph: &Graph) -> GraphId {
+        let gid = self.id_space_mut().issue();
+        self.append(gid, graph);
+        gid
+    }
 
     /// Removes graph `id` from the index. Returns `false` when `id` is out
     /// of range or already removed. The id stays allocated (dense stable
     /// ids): the index tombstones it, every subsequent filter masks it out,
-    /// and payload storage is compacted lazily once tombstones accumulate
-    /// ([`Tombstones::should_compact`]).
-    fn remove(&mut self, id: GraphId) -> bool;
+    /// a per-graph slot is reclaimed at once and posting payloads are purged
+    /// lazily once tombstones accumulate ([`Tombstones::should_compact`]).
+    /// The mask itself never shrinks, so past the threshold every further
+    /// removal purges again.
+    fn remove(&mut self, id: GraphId) -> bool {
+        if !self.id_space_mut().retire(id) {
+            return false;
+        }
+        self.reclaim_slot(id);
+        if self.id_space().should_compact() {
+            self.purge_dead();
+        }
+        true
+    }
 
     /// Borrowed-set filtering stage: resets `out` to [`GraphIndex::universe`]
-    /// and narrows it to the candidate set of `query`, reusing the arena's
-    /// allocation. This is the hot entry point batch serving uses — one
-    /// arena per worker, zero candidate allocation per query.
-    fn filter_into(&self, query: &Graph, out: &mut CandidateSet);
+    /// and narrows it to the candidate set of `query`, dead ids masked out,
+    /// reusing the arena's allocation. This is the hot entry point batch
+    /// serving uses — one arena per worker, zero candidate allocation per
+    /// query.
+    fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
+        self.candidates_into(query, out, None);
+        self.id_space().tombstones().apply(out);
+    }
 
-    /// Cache-aware filtering stage: like [`GraphIndex::filter_into`], but
-    /// with a cross-query [`FilterCacheCtx`] the method may consult for hot
-    /// per-feature bitsets before streaming posting lists. The result must
-    /// be **bit-identical** to `filter_into` — the cache only changes how
-    /// the same bits are produced, never which bits.
+    /// Cache-aware filtering stage: [`GraphIndex::filter_into`] with a
+    /// cross-query [`FilterCacheCtx`] the method may consult for hot
+    /// per-feature bitsets before streaming posting lists. The result is
+    /// **bit-identical** to `filter_into` — the cache only changes how the
+    /// same bits are produced, never which bits.
     ///
-    /// This stays a second trait method, rather than an `Option` argument
-    /// of `filter_into`, because the repo's benchmark crate calls both
-    /// signatures and is frozen. The fork ends here: GGSX, Grapes, gIndex
-    /// and Tree+Δ forward both methods to one private fold that takes the
-    /// context as an `Option`. The default ignores the cache — right for
-    /// filters that are direct id-ordered scans with no per-feature posting
-    /// lists (CT-Index, gCode, the scan baseline), and for a new method
-    /// before it is cache-aware.
+    /// This stays a second entry point, rather than an `Option` argument of
+    /// `filter_into`, because the repo's benchmark crate calls both
+    /// signatures and is frozen. The fork ends here, in the trait: both
+    /// call the method's one [`GraphIndex::candidates_into`].
     fn filter_into_cached(
         &self,
         query: &Graph,
         out: &mut CandidateSet,
         ctx: &mut FilterCacheCtx<'_>,
     ) {
-        let _ = ctx;
-        self.filter_into(query, out);
+        self.candidates_into(query, out, Some(ctx));
+        self.id_space().tombstones().apply(out);
     }
 
     /// Index statistics (feature count, size in bytes).

@@ -8,7 +8,7 @@
 //! which those traversals start.
 
 use sqbench_graph::{GraphId, Label, VertexId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-graph payload stored at a trie node.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -77,6 +77,15 @@ impl PathTrie {
     /// Number of distinct label sequences that have at least one occurrence.
     pub fn distinct_paths(&self) -> usize {
         self.nodes.iter().filter(|n| !n.graphs.is_empty()).count()
+    }
+
+    /// Every graph id some payload mentions (diagnostics: after a
+    /// [`PathTrie::purge`] none of the purged ids is among them).
+    pub fn graph_ids(&self) -> BTreeSet<GraphId> {
+        self.nodes
+            .iter()
+            .flat_map(|n| n.graphs.keys().copied())
+            .collect()
     }
 
     /// Total number of traversals inserted.
@@ -293,6 +302,7 @@ mod tests {
         assert_eq!(trie.lookup(&[1, 3]).unwrap()[&2].count, 1);
         assert_eq!(trie.inserted_paths(), 2, "graph 1's traversals subtracted");
         assert_eq!(trie.node_count(), nodes, "structure survives the purge");
+        assert_eq!(trie.graph_ids(), BTreeSet::from([0, 2]));
         // Re-inserting after a purge reuses the surviving nodes.
         trie.insert(&[2, 2], 3, 7);
         assert_eq!(trie.node_count(), nodes);

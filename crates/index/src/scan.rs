@@ -9,26 +9,24 @@
 //! the yardstick the filter-and-verify architecture is measured against and
 //! is useful in ablations ("how much does filtering actually buy?").
 
-use crate::candidates::{CandidateSet, Tombstones};
+use crate::candidates::{CandidateSet, IdSpace};
+use crate::fcache::FilterCacheCtx;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_graph::{Dataset, Graph, GraphId};
 
 /// The sequential-scan baseline.
 #[derive(Debug, Clone)]
 pub struct ScanBaseline {
-    /// Number of graphs ever admitted (dense id space, dead slots
-    /// included).
-    graph_count: usize,
-    /// Removed ids — the only state the baseline's "filter" has to honor.
-    tombstones: Tombstones,
+    /// The only state the baseline's "filter" has to honor: how many graphs
+    /// were ever admitted, and which were removed.
+    ids: IdSpace,
 }
 
 impl ScanBaseline {
-    /// "Builds" the baseline (records only the dataset size).
+    /// "Builds" the baseline (records only the dataset's id space).
     pub fn build(dataset: &Dataset) -> Self {
         ScanBaseline {
-            graph_count: dataset.len(),
-            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
+            ids: IdSpace::of(dataset),
         }
     }
 }
@@ -38,26 +36,26 @@ impl GraphIndex for ScanBaseline {
         MethodKind::Scan
     }
 
-    fn universe(&self) -> usize {
-        self.graph_count
+    fn id_space(&self) -> &IdSpace {
+        &self.ids
     }
 
-    fn insert(&mut self, _graph: &Graph) -> GraphId {
-        let id = self.graph_count;
-        self.graph_count += 1;
-        id
+    fn id_space_mut(&mut self) -> &mut IdSpace {
+        &mut self.ids
     }
 
-    fn remove(&mut self, id: GraphId) -> bool {
-        id < self.graph_count && self.tombstones.mark(id)
-    }
+    fn append(&mut self, _gid: GraphId, _graph: &Graph) {}
 
-    fn filter_into(&self, _query: &Graph, out: &mut CandidateSet) {
-        // No index, no pruning: every live graph is a candidate. The arena
-        // is reset to the full set in place, so even the baseline serves
+    fn candidates_into(
+        &self,
+        _query: &Graph,
+        out: &mut CandidateSet,
+        _ctx: Option<&mut FilterCacheCtx<'_>>,
+    ) {
+        // No index, no pruning: every graph is a candidate. The arena is
+        // reset to the full set in place, so even the baseline serves
         // queries without a per-query allocation.
-        out.reset_full(self.graph_count);
-        self.tombstones.apply(out);
+        out.reset_full(self.ids.universe());
     }
 
     fn stats(&self) -> IndexStats {
@@ -112,27 +110,6 @@ mod tests {
         let stats = scan.stats();
         assert_eq!(stats.distinct_features, 0);
         assert!(stats.size_bytes < 64);
-    }
-
-    #[test]
-    fn scan_tracks_inserts_and_removes() {
-        let mut ds = dataset();
-        let mut scan = ScanBaseline::build(&ds);
-        let c = GraphBuilder::new("c")
-            .vertices(&[1, 3])
-            .edge(0, 1)
-            .build()
-            .unwrap();
-        assert_eq!(scan.insert(&c), 2);
-        ds.push(c);
-        assert!(scan.remove(0));
-        assert!(!scan.remove(0), "double remove is a no-op");
-        assert!(!scan.remove(9), "out of range");
-        ds.remove(0);
-        let q = GraphBuilder::new("q").vertices(&[3]).build().unwrap();
-        let outcome = scan.query(&ds, &q);
-        assert_eq!(outcome.candidates, vec![1, 2], "dead id masked out");
-        assert_eq!(outcome.answers, exhaustive_answers(&ds, &q));
     }
 
     #[test]

@@ -17,17 +17,14 @@
 //! grows — and its filtering improves — as the workload exercises cyclic
 //! queries.
 
-use crate::candidates::{
-    fold_rarest_first, narrow_rarest_first, CandidateSet, PostingList, SlicePosting, Tombstones,
-};
-use crate::config::TreeDeltaConfig;
+use crate::candidates::{narrow_rarest_first, CandidateSet, IdSpace, PostingList, SlicePosting};
+use crate::config::{GIndexConfig, TreeDeltaConfig};
 use crate::fcache::FilterCacheCtx;
+use crate::gindex::GIndex;
 use crate::{vf2_verify, GraphIndex, IndexStats, MethodKind};
 use sqbench_features::canonical::FeatureKey;
 use sqbench_features::cycles::enumerate_cycle_instances;
-use sqbench_features::mining::{FeatureKind, MinedFeatures, MiningConfig};
-use sqbench_features::trees::query_trees;
-use sqbench_features::FrequentMiner;
+use sqbench_features::mining::FeatureKind;
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_iso::{MatchState, Vf2Matcher};
 use std::collections::BTreeMap;
@@ -45,8 +42,9 @@ struct DeltaFeature {
 /// The Tree+Δ index.
 pub struct TreeDeltaIndex {
     config: TreeDeltaConfig,
-    /// Mined frequent tree features.
-    tree_features: MinedFeatures,
+    /// The tree stage: gIndex's frozen mined-support store, mined over
+    /// subtrees. It also holds the index's id space.
+    trees: GIndex,
     /// Cycle-based Δ features added during query processing: canonical
     /// cycle key → the cycle fragment plus the posting list of **all**
     /// dataset graphs containing it. Supports must cover the whole dataset,
@@ -54,38 +52,23 @@ pub struct TreeDeltaIndex {
     /// would falsely dismiss graphs for later queries that share the cycle
     /// but not the learning query's trees.
     delta_features: RwLock<BTreeMap<FeatureKey, DeltaFeature>>,
-    /// A copy of the dataset graphs' ids (the Δ discovery step needs to test
-    /// candidate graphs for cycle containment; it uses the dataset passed to
-    /// `query`, so only the count is stored here).
-    graph_count: usize,
-    /// Removed ids; tree and Δ payloads are compacted lazily once the mask
-    /// passes the compaction threshold.
-    tombstones: Tombstones,
 }
 
 impl TreeDeltaIndex {
     /// Builds the initial (tree-only) index over a dataset.
     pub fn build(dataset: &Dataset, config: TreeDeltaConfig) -> Self {
-        let tree_features = FrequentMiner::new(Self::mining_config(&config)).mine(dataset);
-        TreeDeltaIndex {
-            tombstones: Tombstones::from_sorted(dataset.dead_ids()),
-            config,
-            tree_features,
-            delta_features: RwLock::new(BTreeMap::new()),
-            graph_count: dataset.len(),
-        }
-    }
-
-    /// The mining configuration of the tree stage. Tree+Δ's published
-    /// discriminative formula differs from gIndex's; the study configures
-    /// it permissively (0.1), which in our shared-ratio formulation means
-    /// "keep all frequent trees".
-    fn mining_config(config: &TreeDeltaConfig) -> MiningConfig {
-        MiningConfig {
+        // Tree+Δ's published discriminative formula differs from gIndex's;
+        // the study configures it permissively (0.1), which in our
+        // shared-ratio formulation means "keep all frequent trees".
+        let mining = GIndexConfig {
             max_feature_edges: config.max_feature_edges,
             min_support_ratio: config.min_support_ratio,
             discriminative_ratio: 1.0,
-            kind: FeatureKind::Tree,
+        };
+        TreeDeltaIndex {
+            trees: GIndex::mine(dataset, mining, FeatureKind::Tree),
+            config,
+            delta_features: RwLock::new(BTreeMap::new()),
         }
     }
 
@@ -96,7 +79,7 @@ impl TreeDeltaIndex {
 
     /// Number of mined tree features.
     pub fn tree_feature_count(&self) -> usize {
-        self.tree_features.len()
+        self.trees.feature_count()
     }
 
     /// Number of Δ (cycle) features accumulated so far.
@@ -113,60 +96,9 @@ impl TreeDeltaIndex {
     /// must both preserve. Exposed for the hot-loop ingest property tests.
     #[doc(hidden)]
     pub fn postings_strictly_ascending(&self) -> bool {
-        let trees_ok = self
-            .tree_features
-            .values()
-            .all(|f| f.supporting_graphs.windows(2).all(|w| w[0] < w[1]));
         let delta = self.delta_features.read().expect("delta lock poisoned");
-        trees_ok && delta.values().all(|f| f.support.is_strictly_ascending())
-    }
-
-    /// The filtering stage behind both trait entry points, two folds over
-    /// one borrowed bitset. Tree stage ("t:" cache keys): the supports of
-    /// the query's indexed subtrees, frozen at build time like gIndex's; no
-    /// indexed subtree means the full set. Δ stage ("d:" keys): the supports
-    /// of the query's already-learned cycles narrow what the trees left; a
-    /// cycle not (yet) in the map imposes nothing. Δ supports are sound to
-    /// cache although the map grows: the serving layer flushes the cache on
-    /// every mutation, so within one cache epoch a learned support is final.
-    ///
-    /// The tombstone mask sits *between* the stages, not last: the Δ stage
-    /// is skipped outright while the map is empty (or nothing is left to
-    /// narrow), and it only ever clears bits, so masking before it equals
-    /// masking after it.
-    fn fold(
-        &self,
-        query: &Graph,
-        out: &mut CandidateSet,
-        mut ctx: Option<&mut FilterCacheCtx<'_>>,
-    ) {
-        let query_trees = query_trees(query, self.config.max_feature_edges);
-        let trees = query_trees
-            .keys()
-            .filter_map(|key| self.tree_features.get(key))
-            .map(|feature| {
-                Some(SlicePosting {
-                    tag: 't',
-                    key: feature.key.as_str(),
-                    ids: &feature.supporting_graphs,
-                })
-            });
-        fold_rarest_first(out, self.graph_count, trees, ctx.as_deref_mut());
-        self.tombstones.apply(out);
-        let delta = self.delta_features.read().expect("delta lock poisoned");
-        if delta.is_empty() || out.is_empty() {
-            return;
-        }
-        let learned = enumerate_cycle_instances(query, self.config.max_cycle_edges)
-            .iter()
-            .filter_map(|cycle| delta.get_key_value(&cycle.key))
-            .map(|(key, feature)| SlicePosting {
-                tag: 'd',
-                key: key.as_str(),
-                ids: feature.support.as_slice(),
-            })
-            .collect();
-        narrow_rarest_first(out, learned, ctx);
+        self.trees.postings_strictly_ascending()
+            && delta.values().all(|f| f.support.is_strictly_ascending())
     }
 
     /// The seed's `Vec`-per-feature filtering (trees, then learned Δ
@@ -174,29 +106,14 @@ impl TreeDeltaIndex {
     /// engine is property-tested against. Not part of the query path.
     #[doc(hidden)]
     pub fn filter_reference(&self, query: &Graph) -> Vec<GraphId> {
-        let query_trees = query_trees(query, self.config.max_feature_edges);
-        let mut candidates: Option<Vec<GraphId>> = None;
-        for key in query_trees.keys() {
-            if let Some(feature) = self.tree_features.get(key) {
-                let support = &feature.supporting_graphs;
-                candidates = Some(match candidates {
-                    None => support.clone(),
-                    Some(current) => crate::intersect_sorted(&current, support),
-                });
-                if candidates.as_ref().is_some_and(Vec::is_empty) {
-                    return Vec::new();
-                }
-            }
-        }
-        let mut candidates =
-            candidates.unwrap_or_else(|| (0..self.graph_count).collect::<Vec<GraphId>>());
+        let mut candidates = self.trees.filter_reference(query);
         let delta = self.delta_features.read().expect("delta lock poisoned");
         for cycle in enumerate_cycle_instances(query, self.config.max_cycle_edges) {
+            if candidates.is_empty() {
+                break;
+            }
             if let Some(feature) = delta.get(&cycle.key) {
                 candidates = crate::intersect_sorted(&candidates, feature.support.as_slice());
-                if candidates.is_empty() {
-                    break;
-                }
             }
         }
         candidates
@@ -289,23 +206,16 @@ impl GraphIndex for TreeDeltaIndex {
         MethodKind::TreeDelta
     }
 
-    fn universe(&self) -> usize {
-        self.graph_count
+    fn id_space(&self) -> &IdSpace {
+        self.trees.id_space()
     }
 
-    fn insert(&mut self, graph: &Graph) -> GraphId {
-        let gid = self.graph_count;
-        // Tree stage: the mined feature set stays frozen (like gIndex); the
-        // new graph joins the supports of the tree features it contains,
-        // enumerated exactly as at build time.
-        let miner = FrequentMiner::new(Self::mining_config(&self.config));
-        for key in miner.enumerate_graph(graph).keys() {
-            if let Some(feature) = self.tree_features.get_mut(key) {
-                // gid is the largest id ever issued: the push keeps the
-                // support list sorted.
-                feature.supporting_graphs.push(gid);
-            }
-        }
+    fn id_space_mut(&mut self) -> &mut IdSpace {
+        self.trees.id_space_mut()
+    }
+
+    fn append(&mut self, gid: GraphId, graph: &Graph) {
+        self.trees.append(gid, graph);
         // Δ stage: learned supports must keep covering the whole dataset —
         // test the new graph against each remembered cycle fragment.
         let mut delta = self.delta_features.write().expect("delta lock poisoned");
@@ -316,51 +226,60 @@ impl GraphIndex for TreeDeltaIndex {
                 feature.support.append_max(gid);
             }
         }
-        drop(delta);
-        self.graph_count += 1;
-        gid
     }
 
-    fn remove(&mut self, id: GraphId) -> bool {
-        if id >= self.graph_count || !self.tombstones.mark(id) {
-            return false;
+    fn purge_dead(&mut self) {
+        self.trees.purge_dead();
+        let dead = self.trees.id_space().tombstones();
+        let mut delta = self.delta_features.write().expect("delta lock poisoned");
+        for feature in delta.values_mut() {
+            feature.support.compact(dead);
         }
-        if self.tombstones.should_compact(self.graph_count) {
-            let dead = &self.tombstones;
-            for feature in self.tree_features.values_mut() {
-                feature.supporting_graphs.retain(|g| !dead.contains(*g));
-            }
-            let mut delta = self.delta_features.write().expect("delta lock poisoned");
-            for feature in delta.values_mut() {
-                feature.support.compact(dead);
-            }
-        }
-        true
     }
 
-    fn filter_into(&self, query: &Graph, out: &mut CandidateSet) {
-        self.fold(query, out, None);
-    }
-
-    fn filter_into_cached(
+    /// Two folds over one borrowed bitset. Tree stage ("t:" cache keys):
+    /// the supports of the query's indexed subtrees; no indexed subtree
+    /// means the full set. Δ stage ("d:" keys): the supports of the query's
+    /// already-learned cycles narrow what the trees left; a cycle not (yet)
+    /// in the map imposes nothing. Δ supports are sound to cache although
+    /// the map grows: the serving layer flushes the cache on every mutation,
+    /// so within one cache epoch a learned support is final.
+    ///
+    /// The Δ stage only ever clears bits, so the tombstone mask the caller
+    /// applies after it equals one applied between the stages.
+    fn candidates_into(
         &self,
         query: &Graph,
         out: &mut CandidateSet,
-        ctx: &mut FilterCacheCtx<'_>,
+        mut ctx: Option<&mut FilterCacheCtx<'_>>,
     ) {
-        self.fold(query, out, Some(ctx));
+        self.trees.candidates_into(query, out, ctx.as_deref_mut());
+        let delta = self.delta_features.read().expect("delta lock poisoned");
+        if delta.is_empty() || out.is_empty() {
+            return;
+        }
+        let learned = enumerate_cycle_instances(query, self.config.max_cycle_edges)
+            .iter()
+            .filter_map(|cycle| delta.get_key_value(&cycle.key))
+            .map(|(key, feature)| SlicePosting {
+                tag: 'd',
+                key: key.as_str(),
+                ids: feature.support.as_slice(),
+            })
+            .collect();
+        narrow_rarest_first(out, learned, ctx);
     }
 
     fn stats(&self) -> IndexStats {
-        let tree_bytes: usize = self.tree_features.values().map(|f| f.memory_bytes()).sum();
+        let trees = self.trees.stats();
         let delta = self.delta_features.read().expect("delta lock poisoned");
         let delta_bytes: usize = delta
             .iter()
             .map(|(k, v)| k.len_bytes() + v.support.memory_bytes() + v.fragment.memory_bytes())
             .sum();
         IndexStats {
-            distinct_features: self.tree_features.len() + delta.len(),
-            size_bytes: tree_bytes + delta_bytes,
+            distinct_features: trees.distinct_features + delta.len(),
+            size_bytes: trees.size_bytes + delta_bytes,
         }
     }
 
@@ -497,9 +416,9 @@ mod tests {
         assert!(full.len() < tree_only.len());
     }
 
-    /// Tree+Δ is the one fold that masks tombstones *between* its stages
-    /// rather than last. A removed id must stay out on both arms while the
-    /// Δ map is empty (the stage is skipped) and once it is not — including
+    /// Tree+Δ is the one filter with two stages under the one closing
+    /// tombstone mask. A removed id must stay out on both arms while the Δ
+    /// map is empty (the stage is skipped) and once it is not — including
     /// when a learned support, and the bitset cached from it, still list it.
     #[test]
     fn removed_ids_never_resurface_before_or_after_learning() {
@@ -638,44 +557,5 @@ mod tests {
         let idx = TreeDeltaIndex::build(&ds, test_config());
         let outcome = idx.query(&ds, &Graph::new("empty"));
         assert_eq!(outcome.answers, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn insert_and_remove_track_rebuild_answers() {
-        let mut ds = dataset();
-        let mut idx = TreeDeltaIndex::build(&ds, test_config());
-        // Learn a Δ feature first so the insert has to extend a live Δ
-        // support (the newcomer contains the learned triangle).
-        let tri_q = query(&[1, 1, 2], &[(0, 1), (1, 2), (2, 0)]);
-        let _ = idx.query(&ds, &tri_q);
-        assert!(idx.delta_feature_count() >= 1);
-
-        let newcomer = GraphBuilder::new("tri2")
-            .vertices(&[1, 1, 2, 2])
-            .edges(&[(0, 1), (1, 2), (2, 0), (2, 3)])
-            .build()
-            .unwrap();
-        let pushed = ds.push(newcomer.clone());
-        assert_eq!(idx.insert(&newcomer), pushed);
-        assert_eq!(idx.universe(), ds.len());
-        assert!(ds.remove(1));
-        assert!(idx.remove(1));
-        assert!(!idx.remove(1), "double remove must be a no-op");
-
-        for (labels, edges) in [
-            (vec![1u32, 1], vec![(0usize, 1usize)]),
-            (vec![1, 1, 2], vec![(0, 1), (1, 2)]),
-            (vec![1, 1, 2], vec![(0, 1), (1, 2), (2, 0)]),
-        ] {
-            let q = query(&labels, &edges);
-            let outcome = idx.query(&ds, &q);
-            let rebuilt = TreeDeltaIndex::build(&ds, test_config());
-            assert_eq!(outcome.answers, rebuilt.query(&ds, &q).answers);
-            assert_eq!(outcome.answers, exhaustive_answers(&ds, &q));
-        }
-        // Tombstone masking also covers the unconstrained (empty-query)
-        // full-set fallback.
-        let all = idx.query(&ds, &Graph::new("empty"));
-        assert_eq!(all.answers, vec![0, 2, 3, 4]);
     }
 }

@@ -7,16 +7,21 @@
 //!    loops and the wide tombstone mask must be bit-identical to the
 //!    one-word scalar reference on arbitrary sets — including the dead-id
 //!    interaction: a tombstoned id must never resurface through any kernel.
-//! 2. **Posting order survives ingest.** The frequency-ordered filter folds
-//!    assume strictly ascending posting lists; arbitrary insert/remove
-//!    interleavings (append-max inserts, lazily compacted removals) must
-//!    preserve that, and the mutated index must keep answering exactly like
-//!    one rebuilt from scratch over the surviving graphs.
+//! 2. **Posting payloads survive ingest**, for the whole posting family.
+//!    The frequency-ordered filter folds assume strictly ascending posting
+//!    lists; arbitrary insert/remove interleavings (append-max inserts,
+//!    lazily compacted removals — a share of the scripts crosses the
+//!    compaction threshold) must preserve that in the mined supports, must
+//!    neither lose a live graph nor keep a purged one in the trie payloads,
+//!    and the mutated index must keep answering exactly like one rebuilt
+//!    from scratch over the surviving graphs.
 
 use proptest::prelude::*;
 use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
 use sqbench_graph::{Dataset, Graph, GraphId};
+use sqbench_index::ggsx::GgsxIndex;
 use sqbench_index::gindex::GIndex;
+use sqbench_index::grapes::GrapesIndex;
 use sqbench_index::treedelta::TreeDeltaIndex;
 use sqbench_index::{CandidateSet, GraphIndex, MethodConfig, Tombstones};
 
@@ -90,20 +95,33 @@ proptest! {
     }
 }
 
+/// Kind 0–1 inserts the next pool graph, kind 2 removes an arbitrary slot
+/// (possibly dead already), kinds 3–7 remove the `pick`-th live graph — so
+/// roughly two ops in three tombstone a fresh id and the longer scripts
+/// cross the compaction threshold (≥ 32 dead, ≥ 1/8 of the universe).
+fn ingest_ops() -> impl Strategy<Value = Vec<(u8, usize)>> {
+    proptest::collection::vec((0u8..8, 0usize..1024), 24..64)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Posting lists stay strictly ascending through arbitrary
-    /// insert/remove interleavings, and the mutated index answers exactly
-    /// like a from-scratch rebuild over the surviving graphs.
+    /// Posting payloads stay well-formed through arbitrary insert/remove
+    /// interleavings, before and after the lifecycle starts purging — the
+    /// mined supports (gIndex, Tree+Δ) strictly ascending, the trie
+    /// payloads (Grapes, GGSX) posting every live graph and, once purged,
+    /// no dead one — and the mutated index answers exactly like a
+    /// from-scratch rebuild over the surviving graphs.
     #[test]
     fn posting_order_survives_ingest_interleavings(
         seed in 0u64..300,
-        ops in proptest::collection::vec((any::<bool>(), 0usize..16), 1..24),
+        ops in ingest_ops(),
     ) {
-        let ds = dataset_from_seed(seed, 10);
+        let ds = dataset_from_seed(seed, 40);
         let pool = dataset_from_seed(seed ^ 0xfeed, 16);
         let config = MethodConfig::fast();
+        let mut grapes = GrapesIndex::build(&ds, config.grapes.clone());
+        let mut ggsx = GgsxIndex::build(&ds, config.ggsx.clone());
         let mut gindex = GIndex::build(&ds, config.gindex.clone());
         let mut treedelta = TreeDeltaIndex::build(&ds, config.treedelta.clone());
 
@@ -111,25 +129,37 @@ proptest! {
         // removed (matching the dataset tombstone model).
         let mut live: Vec<Option<Graph>> =
             ds.iter().map(|(_, g)| Some(g.clone())).collect();
+        let mut dead = Tombstones::new();
         let mut next_pool = 0usize;
-        for (is_insert, pick) in ops {
-            if is_insert {
+        for (kind, pick) in ops {
+            let mut all: [&mut dyn GraphIndex; 4] =
+                [&mut grapes, &mut ggsx, &mut gindex, &mut treedelta];
+            if kind < 2 {
                 let (_, g) = pool
                     .iter()
                     .nth(next_pool % pool.len())
                     .expect("pool graph");
                 next_pool += 1;
-                let gid_g = gindex.insert(g);
-                let gid_t = treedelta.insert(g);
-                prop_assert_eq!(gid_g, live.len());
-                prop_assert_eq!(gid_t, live.len());
+                for index in &mut all {
+                    prop_assert_eq!(index.insert(g), live.len(), "{}", index.kind().name());
+                }
                 live.push(Some(g.clone()));
             } else {
-                let target = pick % live.len();
+                let live_ids: Vec<GraphId> =
+                    (0..live.len()).filter(|&id| live[id].is_some()).collect();
+                let target = if kind == 2 || live_ids.is_empty() {
+                    pick % live.len()
+                } else {
+                    live_ids[pick % live_ids.len()]
+                };
                 let expect_removed = live[target].is_some();
-                prop_assert_eq!(gindex.remove(target), expect_removed);
-                prop_assert_eq!(treedelta.remove(target), expect_removed);
+                for index in &mut all {
+                    prop_assert_eq!(
+                        index.remove(target), expect_removed, "{}", index.kind().name()
+                    );
+                }
                 live[target] = None;
+                dead.mark(target);
             }
             prop_assert!(
                 gindex.postings_strictly_ascending(),
@@ -139,6 +169,24 @@ proptest! {
                 treedelta.postings_strictly_ascending(),
                 "Tree+Δ posting order broken mid-interleaving"
             );
+            // Past the threshold every remove purges, and an insert posts
+            // only its own fresh id: the tries then hold no dead id at all.
+            let purged = dead.should_compact(live.len());
+            for (name, posted) in [("Grapes", grapes.posted_ids()), ("GGSX", ggsx.posted_ids())] {
+                for (id, slot) in live.iter().enumerate() {
+                    match slot {
+                        Some(g) if g.vertex_count() > 0 => {
+                            prop_assert!(posted.contains(&id), "{}: live id {} lost", name, id)
+                        }
+                        None if purged => {
+                            prop_assert!(
+                                !posted.contains(&id), "{}: dead id {} survived a purge", name, id
+                            )
+                        }
+                        _ => {}
+                    }
+                }
+            }
         }
 
         // Pin against a re-index from scratch: dead slots become empty
@@ -153,19 +201,21 @@ proptest! {
                 })
                 .collect(),
         );
-        let fresh_g = GIndex::build(&rebuilt_ds, config.gindex.clone());
-        let fresh_t = TreeDeltaIndex::build(&rebuilt_ds, config.treedelta.clone());
+        let fresh: [Box<dyn GraphIndex>; 4] = [
+            Box::new(GrapesIndex::build(&rebuilt_ds, config.grapes.clone())),
+            Box::new(GgsxIndex::build(&rebuilt_ds, config.ggsx.clone())),
+            Box::new(GIndex::build(&rebuilt_ds, config.gindex.clone())),
+            Box::new(TreeDeltaIndex::build(&rebuilt_ds, config.treedelta.clone())),
+        ];
+        let mutated: [&dyn GraphIndex; 4] = [&grapes, &ggsx, &gindex, &treedelta];
         for (query, _) in QueryGen::new(seed ^ 0x90de).generate(&ds, 3, 4).iter() {
-            prop_assert_eq!(
-                gindex.query(&rebuilt_ds, query).answers,
-                fresh_g.query(&rebuilt_ds, query).answers,
-                "mutated gIndex diverged from rebuild"
-            );
-            prop_assert_eq!(
-                treedelta.query(&rebuilt_ds, query).answers,
-                fresh_t.query(&rebuilt_ds, query).answers,
-                "mutated Tree+Δ diverged from rebuild"
-            );
+            for (mutated, fresh) in mutated.iter().zip(&fresh) {
+                prop_assert_eq!(
+                    mutated.query(&rebuilt_ds, query).answers,
+                    fresh.query(&rebuilt_ds, query).answers,
+                    "mutated {} diverged from rebuild", mutated.kind().name()
+                );
+            }
         }
     }
 }
