@@ -18,12 +18,27 @@
 //! (shard pools cannot overlap); the ≥1.5× shard-parallel gain only shows
 //! on multi-core runners. The committed `BENCH_micro_sharded.json`
 //! baseline records this machine's numbers for the CI regression gate.
+//!
+//! A second group, `ingest_remove`, A/Bs what one online remove costs the
+//! routing tier, both arms in this process over the same AIDS-like shard
+//! at 80 and 700 live graphs:
+//!
+//! * `retract` — what `ShardedService::remove_graph` does: the victim's
+//!   `GraphSynopsis::of` + `Router::retract` (timed with the `Router`
+//!   clone that keeps the iterations independent, so the arm reads high);
+//! * `rescan`  — what it did before the tier could subtract:
+//!   `ShardSynopsis::of` + `Router::shard_fingerprint` over the shard with
+//!   the victim tombstoned — the oracle pair the equality property tests
+//!   `retract` against.
+//!
+//! The number to read is the in-run ratio the bench prints, not either
+//! median: `retract` is flat in the shard size, `rescan` linear.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
-use sqbench_graph::{Dataset, Graph};
+use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen, RealDataset};
+use sqbench_graph::{Dataset, Graph, GraphSynopsis, ShardSynopsis};
 use sqbench_harness::service::{
-    AdmissionQueue, QueryService, ServiceOptions, ShardStrategy, ShardedService,
+    AdmissionQueue, QueryService, Router, ServiceOptions, ShardStrategy, ShardedService,
 };
 use sqbench_index::{build_index, MethodConfig, MethodKind};
 
@@ -181,5 +196,74 @@ fn bench_sharded(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_sharded);
+/// Live graphs per shard the remove A/B runs at: `zipf_churn`'s shard and
+/// `sparse_screen`'s whole dataset.
+const REMOVE_SHARD_SIZES: [usize; 2] = [80, 700];
+
+fn bench_ingest_remove(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ingest_remove");
+    group.sample_size(15);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    for graphs in REMOVE_SHARD_SIZES {
+        let aids = RealDataset::Aids.spec().graph_count as f64;
+        let shard = RealDataset::Aids.generate_with(graphs as f64 / aids, 1.0, 20150831);
+        assert_eq!(shard.len(), graphs);
+        let router = Router::build([&shard]);
+        let mut tombstoned = shard.clone();
+        assert!(tombstoned.remove(graphs / 2));
+
+        // Correctness gate before any timing: both arms leave the same
+        // routing state.
+        let victim = shard.graph_unchecked(graphs / 2);
+        let mut retracted = router.clone();
+        retracted.retract(0, victim, &GraphSynopsis::of(victim));
+        assert_eq!(retracted.synopsis(0), &ShardSynopsis::of(&tombstoned));
+        assert_eq!(
+            retracted.fingerprint(0),
+            &Router::shard_fingerprint(&tombstoned)
+        );
+
+        // Every member takes its turn as the victim, so the arm reads the
+        // shard's average graph rather than one molecule's size.
+        let mut turn = 0usize;
+        group.bench_with_input(BenchmarkId::new("retract", graphs), &router, |b, router| {
+            b.iter(|| {
+                let victim = shard.graph_unchecked(turn % graphs);
+                turn += 1;
+                let mut router = router.clone();
+                router.retract(0, victim, &GraphSynopsis::of(victim));
+                router
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("rescan", graphs),
+            &tombstoned,
+            |b, shard| b.iter(|| (ShardSynopsis::of(shard), Router::shard_fingerprint(shard))),
+        );
+    }
+    group.finish();
+
+    let results = c.results();
+    let median = |arm: &str, graphs: usize| {
+        results
+            .iter()
+            .find(|r| r.id == format!("ingest_remove/{arm}/{graphs}"))
+            .map(|r| r.median_ns)
+    };
+    for graphs in REMOVE_SHARD_SIZES {
+        if let (Some(retract), Some(rescan)) = (median("retract", graphs), median("rescan", graphs))
+        {
+            println!(
+                "routing-tier cost of one remove @ {graphs} live graphs/shard: \
+                 retract {:.1} us, rescan {:.1} us (rescan / retract {:.0}x)",
+                retract / 1e3,
+                rescan / 1e3,
+                rescan / retract,
+            );
+        }
+    }
+}
+
+criterion_group!(benches, bench_sharded, bench_ingest_remove);
 criterion_main!(benches);

@@ -58,6 +58,28 @@ impl Fingerprint {
         self.words[position / 64] |= 1u64 << (position % 64);
     }
 
+    /// Clears an individual bit — for a collection fingerprint whose owner
+    /// counts, per bit, the members that set it (see [`Fingerprint::ones`])
+    /// and has just seen the last of them leave.
+    pub fn clear(&mut self, position: usize) {
+        assert!(position < self.bits, "bit position out of range");
+        self.words[position / 64] &= !(1u64 << (position % 64));
+    }
+
+    /// The positions of the set bits, ascending.
+    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
     /// Tests an individual bit.
     pub fn get(&self, position: usize) -> bool {
         if position >= self.bits {
@@ -160,6 +182,24 @@ mod tests {
         assert!(!fp.get(1));
         assert!(!fp.get(4096)); // out of range reads as false
         assert_eq!(fp.count_ones(), 4);
+    }
+
+    #[test]
+    fn ones_lists_the_set_bits_and_clear_unsets_them() {
+        let mut fp = Fingerprint::new(192);
+        assert_eq!(fp.ones().count(), 0);
+        for pos in [191, 0, 64, 63, 100] {
+            fp.set(pos);
+        }
+        assert_eq!(fp.ones().collect::<Vec<_>>(), [0, 63, 64, 100, 191]);
+        fp.clear(64);
+        fp.clear(5); // clearing an unset bit is a no-op
+        assert_eq!(fp.ones().collect::<Vec<_>>(), [0, 63, 100, 191]);
+        assert!(!fp.get(64));
+        for pos in fp.ones().collect::<Vec<_>>() {
+            fp.clear(pos);
+        }
+        assert_eq!(fp, Fingerprint::new(192));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::error::{GraphError, Result};
 use crate::graph::Graph;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a graph inside a [`Dataset`]. Graph ids are dense and equal
 /// to the graph's position in insertion order, matching how every index
@@ -30,12 +30,13 @@ pub type GraphId = usize;
 ///
 /// [`Dataset::remove`] does **not** shift ids: the removed slot keeps its
 /// position (so every index posting list, shard id table and candidate
-/// bitset stays valid) but its graph storage is swapped for an empty
-/// placeholder and the id is recorded as *dead*. Checked accessors
+/// bitset stays valid) but its graph storage is swapped for a handle to the
+/// one process-wide empty placeholder and the id is recorded as *dead* — a
+/// dead slot costs its spine entry, never a graph. Checked accessors
 /// ([`Dataset::graph`], [`Dataset::shared`]) treat dead ids like missing
 /// ones, so verification paths skip them naturally; `len()`/`ids()` keep
 /// covering the full dense id space, and [`Dataset::live_len`] /
-/// [`Dataset::is_live`] expose the live view.
+/// [`Dataset::is_live`] / [`Dataset::iter_live`] expose the live view.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Dataset {
     name: String,
@@ -100,9 +101,10 @@ impl Dataset {
     }
 
     /// Removes the graph with the given id without shifting any other id:
-    /// the slot's storage is swapped for an empty placeholder (freeing the
-    /// graph if this dataset was its last holder) and the id joins the dead
-    /// list. Returns `false` when the id is out of range or already dead.
+    /// the slot's handle is swapped for the shared empty placeholder
+    /// (freeing the graph if this dataset was its last holder; nothing is
+    /// allocated per removal) and the id joins the dead list. Returns
+    /// `false` when the id is out of range or already dead.
     ///
     /// `len()` and `ids()` still cover the dense id space afterwards —
     /// that is what keeps index posting lists and shard id tables valid —
@@ -115,7 +117,7 @@ impl Dataset {
         match self.dead.binary_search(&id) {
             Ok(_) => false,
             Err(pos) => {
-                self.graphs[id] = Arc::new(Graph::new("<dead>"));
+                self.graphs[id] = dead_placeholder();
                 self.dead.insert(pos, id);
                 true
             }
@@ -183,6 +185,20 @@ impl Dataset {
         self.graphs.iter().enumerate().map(|(id, g)| (id, &**g))
     }
 
+    /// Iterator over the live `(GraphId, &Graph)` pairs in id order:
+    /// [`Dataset::iter`] minus the dead slots' placeholders.
+    pub fn iter_live(&self) -> impl Iterator<Item = (GraphId, &Graph)> {
+        self.live_shared().map(|(id, g)| (id, &**g))
+    }
+
+    /// The live slots' handles in id order (one merge pass over the sorted
+    /// dead list).
+    fn live_shared(&self) -> impl Iterator<Item = (GraphId, &Arc<Graph>)> {
+        let mut dead = self.dead.iter().copied().peekable();
+        self.iter_shared()
+            .filter(move |&(id, _)| dead.next_if_eq(&id).is_none())
+    }
+
     /// Iterator over `(GraphId, &Arc<Graph>)` pairs in id order — the
     /// handle-level twin of [`Dataset::iter`] for callers that share
     /// graphs onward.
@@ -227,19 +243,20 @@ impl Dataset {
 
     /// Heap bytes of the `Arc<Graph>` spine itself — the cost a zero-copy
     /// derived dataset pays per graph (one pointer), independent of graph
-    /// sizes.
+    /// sizes, and all a dead slot costs.
     fn spine_bytes(&self) -> usize {
         self.graphs.capacity() * std::mem::size_of::<Arc<Graph>>()
     }
 
-    /// Estimated heap bytes *reachable* from the dataset: every graph's
-    /// storage plus the handle spine. Graphs shared with other datasets are
-    /// counted in full — this is the resident-set view; see
-    /// [`Dataset::owned_memory_bytes`] for the incremental view.
+    /// Estimated heap bytes *reachable* from the dataset: every live
+    /// graph's storage plus the handle spine (dead slots all point at one
+    /// process-wide placeholder, which belongs to no dataset). Graphs
+    /// shared with other datasets are counted in full — this is the
+    /// resident-set view; see [`Dataset::owned_memory_bytes`] for the
+    /// incremental view.
     pub fn memory_bytes(&self) -> usize {
-        self.graphs
-            .iter()
-            .map(|g| g.memory_bytes() + std::mem::size_of::<Graph>())
+        self.live_shared()
+            .map(|(_, g)| g.memory_bytes() + std::mem::size_of::<Graph>())
             .sum::<usize>()
             + self.spine_bytes()
     }
@@ -255,10 +272,9 @@ impl Dataset {
     /// holder of a shared graph silently moves its bytes from shared to
     /// owned.
     pub fn owned_memory_bytes(&self) -> usize {
-        self.graphs
-            .iter()
-            .filter(|g| Arc::strong_count(g) == 1)
-            .map(|g| g.memory_bytes() + std::mem::size_of::<Graph>())
+        self.live_shared()
+            .filter(|(_, g)| Arc::strong_count(g) == 1)
+            .map(|(_, g)| g.memory_bytes() + std::mem::size_of::<Graph>())
             .sum::<usize>()
             + self.spine_bytes()
     }
@@ -293,6 +309,14 @@ impl IntoIterator for Dataset {
     fn into_iter(self) -> Self::IntoIter {
         self.graphs.into_iter().map(Arc::unwrap_or_clone)
     }
+}
+
+/// The one empty graph every dead slot of every dataset points at. Ids are
+/// append-only, so under churn the dead slots only accumulate; sharing the
+/// placeholder keeps a removal from leaving an allocation behind.
+fn dead_placeholder() -> Arc<Graph> {
+    static DEAD: OnceLock<Arc<Graph>> = OnceLock::new();
+    Arc::clone(DEAD.get_or_init(|| Arc::new(Graph::new("<dead>"))))
 }
 
 /// `&Arc<Graph>` → `&Graph`, named so it can be a `fn`-pointer iterator
@@ -460,6 +484,39 @@ mod tests {
         // Truncation carries the dead ids that survive the cut.
         assert_eq!(ds.truncated(2).dead_ids(), &[1]);
         assert!(ds.truncated(1).dead_ids().is_empty());
+    }
+
+    #[test]
+    fn removed_slots_share_one_placeholder_and_cost_only_their_spine_entry() {
+        let mut ds = Dataset::from_graphs("churn", vec![tiny_graph(3, 0); 1_000]);
+        let mut other = Dataset::from_graphs("other", vec![tiny_graph(2, 1)]);
+        for id in ds.ids() {
+            assert!(ds.remove(id));
+        }
+        assert!(other.remove(0));
+        // No per-slot graph: every dead slot, in every dataset, is a handle
+        // to the same allocation.
+        for id in ds.ids() {
+            assert!(Arc::ptr_eq(
+                ds.shared_unchecked(id),
+                other.shared_unchecked(0)
+            ));
+            assert!(ds.graph(id).is_err() && ds.shared(id).is_err());
+        }
+        assert_eq!(ds.iter_live().count(), 0);
+        // The accounting says so: what is left is the spine, all of it owned.
+        let spine = ds.graphs.capacity() * std::mem::size_of::<Arc<Graph>>();
+        assert_eq!(ds.memory_bytes(), spine);
+        assert_eq!(ds.owned_memory_bytes(), spine);
+        // A live neighbour is still counted in full, and `iter_live` skips
+        // exactly the dead ids.
+        let live = tiny_graph(5, 2);
+        let live_bytes = live.memory_bytes() + std::mem::size_of::<Graph>();
+        let id = ds.push(live);
+        let spine = ds.graphs.capacity() * std::mem::size_of::<Arc<Graph>>();
+        assert_eq!(ds.memory_bytes(), spine + live_bytes);
+        assert_eq!(ds.owned_memory_bytes(), spine + live_bytes);
+        assert_eq!(ds.iter_live().map(|(id, _)| id).collect::<Vec<_>>(), [id]);
     }
 
     #[test]

@@ -227,9 +227,30 @@ impl GraphSynopsis {
 /// of extra admissions — never missed ones: if `q ⊆ g` for a graph `g` in
 /// the shard, every field of `q`'s synopsis is ≤ `g`'s ≤ the shard's
 /// maximum, and `q`'s label pairs are inside `g`'s ⊆ the shard's union.
+///
+/// # Multiplicities
+///
+/// A maximum alone cannot be undone: once the graph that set it leaves,
+/// the next-largest value is unknown without rescanning the shard. So
+/// every bound also carries the **multiplicity of its witnesses** — behind
+/// each maximum a small multiset (value → number of summarized graphs
+/// holding exactly that value), behind each label pair the number of
+/// graphs containing it. [`ShardSynopsis::absorb`] increments,
+/// [`ShardSynopsis::retract`] decrements and republishes a bound only from
+/// what is left (the next key, or nothing), both in O(the one graph).
+///
+/// The multiplicities are a function of the *multiset* of summarized
+/// graphs alone — zero counts are dropped, never kept — so a synopsis that
+/// absorbed and retracted in any order **equals** (`==`, every field) the
+/// one [`ShardSynopsis::of`] computes from the surviving graphs. That is
+/// stronger than soundness: it admits exactly what a rebuild would. Their
+/// size is bounded by the number of *distinct* values per bound (vertex
+/// counts, per-label counts, degree-bucket counts), not by the number of
+/// graphs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardSynopsis {
-    /// Number of graphs summarized.
+    /// Number of graphs summarized — live graphs only, on the rescan and
+    /// the incremental path alike.
     pub graphs: usize,
     /// Largest vertex count of any single graph.
     pub max_vertices: usize,
@@ -243,13 +264,53 @@ pub struct ShardSynopsis {
     pub degree_ge_max: Vec<usize>,
     /// Union of the graphs' edge label-pair sets.
     pub label_pairs: BTreeSet<(Label, Label)>,
+    /// Witnesses of `max_vertices`.
+    vertex_witnesses: Witnesses,
+    /// Witnesses of `max_edges`.
+    edge_witnesses: Witnesses,
+    /// Witnesses of each `max_label_counts` entry (same key set).
+    label_witnesses: BTreeMap<Label, Witnesses>,
+    /// Witnesses of each `degree_ge_max` entry (same length).
+    degree_witnesses: Vec<Witnesses>,
+    /// Per `label_pairs` entry (same key set): the graphs containing it.
+    pair_witnesses: BTreeMap<(Label, Label), u32>,
 }
 
+/// The multiset behind one maximum: value → number of summarized graphs
+/// holding exactly that value. Its largest key is the published bound.
+type Witnesses = BTreeMap<usize, u32>;
+
+/// Counts one more graph witnessing `key`.
+fn hold<K: Ord>(counts: &mut BTreeMap<K, u32>, key: K) {
+    *counts.entry(key).or_insert(0) += 1;
+}
+
+/// Counts one graph fewer witnessing `key`, dropping the entry with its
+/// last witness (zero counts are never kept).
+fn release<K: Ord>(counts: &mut BTreeMap<K, u32>, key: &K) {
+    let count = counts.get_mut(key).expect(NEVER_ABSORBED);
+    *count -= 1;
+    if *count == 0 {
+        counts.remove(key);
+    }
+}
+
+/// Counts one graph fewer holding `value` and returns the bound that is
+/// left: the largest value still witnessed, `None` once nothing is.
+fn release_bound(witnesses: &mut Witnesses, value: usize) -> Option<usize> {
+    release(witnesses, &value);
+    witnesses.last_key_value().map(|(&max, _)| max)
+}
+
+const NEVER_ABSORBED: &str = "retracted a graph the synopsis never absorbed";
+
 impl ShardSynopsis {
-    /// Computes the synopsis of a whole dataset (one shard's slice).
+    /// Computes the synopsis of a whole dataset (one shard's slice) from
+    /// its live graphs — the rescan [`ShardSynopsis::retract`] replaces on
+    /// the write path, kept as the oracle it is tested against.
     pub fn of(dataset: &Dataset) -> Self {
         let mut synopsis = ShardSynopsis::default();
-        for (_, g) in dataset.iter() {
+        for (_, g) in dataset.iter_live() {
             synopsis.absorb(&GraphSynopsis::of(g));
         }
         synopsis
@@ -258,19 +319,78 @@ impl ShardSynopsis {
     /// Folds one graph's synopsis into the shard summary.
     pub fn absorb(&mut self, g: &GraphSynopsis) {
         self.graphs += 1;
+        hold(&mut self.vertex_witnesses, g.vertices);
         self.max_vertices = self.max_vertices.max(g.vertices);
+        hold(&mut self.edge_witnesses, g.edges);
         self.max_edges = self.max_edges.max(g.edges);
         for (&label, &count) in &g.label_counts {
+            hold(self.label_witnesses.entry(label).or_default(), count);
             let entry = self.max_label_counts.entry(label).or_insert(0);
             *entry = (*entry).max(count);
         }
         if g.degree_ge.len() > self.degree_ge_max.len() {
             self.degree_ge_max.resize(g.degree_ge.len(), 0);
+            self.degree_witnesses
+                .resize_with(g.degree_ge.len(), Witnesses::new);
         }
         for (d, &count) in g.degree_ge.iter().enumerate() {
+            hold(&mut self.degree_witnesses[d], count);
             self.degree_ge_max[d] = self.degree_ge_max[d].max(count);
         }
-        self.label_pairs.extend(g.label_pairs.iter().copied());
+        for &pair in &g.label_pairs {
+            hold(&mut self.pair_witnesses, pair);
+            self.label_pairs.insert(pair);
+        }
+    }
+
+    /// The inverse of [`ShardSynopsis::absorb`]: takes one previously
+    /// absorbed graph's synopsis back out. A maximum drops to the next
+    /// witnessed value, and a label, a label pair or a trailing degree
+    /// bucket disappears, only when the graph was its last witness.
+    ///
+    /// # Panics
+    ///
+    /// If `g` was never absorbed — going on would under-admit silently.
+    pub fn retract(&mut self, g: &GraphSynopsis) {
+        self.graphs = self.graphs.checked_sub(1).expect(NEVER_ABSORBED);
+        self.max_vertices = release_bound(&mut self.vertex_witnesses, g.vertices).unwrap_or(0);
+        self.max_edges = release_bound(&mut self.edge_witnesses, g.edges).unwrap_or(0);
+        for (label, &count) in &g.label_counts {
+            let witnesses = self.label_witnesses.get_mut(label).expect(NEVER_ABSORBED);
+            match release_bound(witnesses, count) {
+                Some(max) => {
+                    self.max_label_counts.insert(*label, max);
+                }
+                None => {
+                    self.label_witnesses.remove(label);
+                    self.max_label_counts.remove(label);
+                }
+            }
+        }
+        assert!(
+            g.degree_ge.len() <= self.degree_witnesses.len(),
+            "{NEVER_ABSORBED}"
+        );
+        for (d, &count) in g.degree_ge.iter().enumerate() {
+            self.degree_ge_max[d] =
+                release_bound(&mut self.degree_witnesses[d], count).unwrap_or(0);
+        }
+        // Every graph covers buckets `0..=its max degree`, so the buckets
+        // nobody witnesses any more are exactly a suffix.
+        while self
+            .degree_witnesses
+            .last()
+            .is_some_and(Witnesses::is_empty)
+        {
+            self.degree_witnesses.pop();
+            self.degree_ge_max.pop();
+        }
+        for pair in &g.label_pairs {
+            release(&mut self.pair_witnesses, pair);
+            if !self.pair_witnesses.contains_key(pair) {
+                self.label_pairs.remove(pair);
+            }
+        }
     }
 
     /// Sound admissibility test: `false` **proves** no graph in the shard
@@ -302,12 +422,29 @@ impl ShardSynopsis {
         q.label_pairs.is_subset(&self.label_pairs)
     }
 
-    /// Estimated heap bytes of the synopsis — the routing layer's whole
-    /// memory cost, reported alongside index sizes.
+    /// Estimated heap bytes of the synopsis, bounds and multiplicities
+    /// both — the routing layer's per-shard memory cost beside the
+    /// fingerprint, reported alongside index sizes.
     pub fn memory_bytes(&self) -> usize {
-        self.max_label_counts.len() * std::mem::size_of::<(Label, usize)>()
-            + self.degree_ge_max.capacity() * std::mem::size_of::<usize>()
-            + self.label_pairs.len() * std::mem::size_of::<(Label, Label)>()
+        use std::mem::size_of;
+        let witness_bytes = |w: &Witnesses| w.len() * size_of::<(usize, u32)>();
+        self.max_label_counts.len() * size_of::<(Label, usize)>()
+            + self.degree_ge_max.capacity() * size_of::<usize>()
+            + self.label_pairs.len() * size_of::<(Label, Label)>()
+            + witness_bytes(&self.vertex_witnesses)
+            + witness_bytes(&self.edge_witnesses)
+            + self
+                .label_witnesses
+                .values()
+                .map(|w| size_of::<(Label, Witnesses)>() + witness_bytes(w))
+                .sum::<usize>()
+            + self.degree_witnesses.capacity() * size_of::<Witnesses>()
+            + self
+                .degree_witnesses
+                .iter()
+                .map(witness_bytes)
+                .sum::<usize>()
+            + self.pair_witnesses.len() * size_of::<((Label, Label), u32)>()
     }
 }
 
@@ -504,12 +641,10 @@ mod tests {
     }
 
     #[test]
-    fn recomputed_synopsis_after_removal_stays_sound_for_live_graphs() {
-        // The online-ingest removal path recomputes a shard's synopsis
-        // with `ShardSynopsis::of` over the mutated dataset. Dead slots
-        // hold empty placeholder graphs, so the recompute tightens to the
-        // live maxima — but must never narrow below them: every live
-        // graph (hence every query embedded in one) stays admitted.
+    fn rescanned_synopsis_summarizes_live_graphs_only() {
+        // `of` is the rescan oracle of the online-ingest removal path: it
+        // must tighten to the live maxima, never narrow below them, and
+        // neither count nor summarize a tombstoned slot.
         let big = star(7, &[1, 2, 3]); // 4 vertices, max degree 3
         let mut ds = Dataset::from_graphs("shard", vec![triangle(0), big.clone(), path(&[4, 5])]);
         let before = ShardSynopsis::of(&ds);
@@ -521,20 +656,99 @@ mod tests {
         // Sound tightening: the removed graph's exclusive bounds are gone…
         assert_eq!(after.max_vertices, 3);
         assert!(!after.admits(&GraphSynopsis::of(&big)));
-        // …but no live graph lost admission, and the placeholder did not
-        // leak structure into the summary.
-        for (id, g) in ds.iter() {
-            if ds.is_live(id) {
-                assert!(
-                    after.admits(&GraphSynopsis::of(g)),
-                    "live graph {id} narrowed out of its own shard"
-                );
+        assert!(!after.max_label_counts.contains_key(&7));
+        // …but no live graph lost admission…
+        for (id, g) in ds.iter_live() {
+            assert!(
+                after.admits(&GraphSynopsis::of(g)),
+                "live graph {id} narrowed out of its own shard"
+            );
+        }
+        // …and the dead slot is not a summarized graph: a half-dead shard
+        // does not read as full.
+        assert_eq!(after.graphs, ds.live_len());
+        assert_eq!(
+            after,
+            ShardSynopsis::of(&Dataset::from_graphs(
+                "live",
+                vec![triangle(0), path(&[4, 5])]
+            ))
+        );
+    }
+
+    #[test]
+    fn retract_is_the_exact_inverse_of_absorb() {
+        // Each victim is the sole witness of something: the star of the
+        // maximum degree, of label 7 and of the (1,7) pair; the long path of
+        // the vertex and edge maxima; the second triangle of nothing (its
+        // twin witnesses every bound it does).
+        let graphs = [
+            triangle(0),
+            star(7, &[1, 2, 3]),
+            path(&[4, 5, 4, 5, 4, 5]),
+            triangle(0),
+            path(&[1, 2]),
+        ];
+        let synopses: Vec<GraphSynopsis> = graphs.iter().map(GraphSynopsis::of).collect();
+        let rebuilt = |live: &[usize]| {
+            let live = live.iter().map(|&i| graphs[i].clone()).collect();
+            ShardSynopsis::of(&Dataset::from_graphs("live", live))
+        };
+        let mut shard = rebuilt(&[0, 1, 2, 3, 4]);
+        assert_eq!(shard.degree_ge_max.len(), 4);
+
+        shard.retract(&synopses[1]);
+        assert_eq!(shard, rebuilt(&[0, 2, 3, 4]));
+        assert_eq!(shard.degree_ge_max.len(), 3, "trailing bucket must go");
+        assert!(!shard.max_label_counts.contains_key(&7));
+        assert!(!shard.label_pairs.contains(&(1, 7)));
+        assert!(
+            shard.label_pairs.contains(&(1, 2)),
+            "path(1,2) still holds it"
+        );
+
+        shard.retract(&synopses[2]);
+        assert_eq!(shard, rebuilt(&[0, 3, 4]));
+        assert_eq!((shard.max_vertices, shard.max_edges), (3, 3));
+
+        shard.retract(&synopses[3]);
+        assert_eq!(shard, rebuilt(&[0, 4]));
+        assert_eq!(shard.max_label_counts[&0], 2, "the twin keeps the bound");
+
+        // Order does not matter, and absorbing again restores the state.
+        shard.absorb(&synopses[1]);
+        assert_eq!(shard, rebuilt(&[0, 4, 1]));
+        for i in [0, 1, 4] {
+            shard.retract(&synopses[i]);
+        }
+        assert_eq!(shard, ShardSynopsis::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "never absorbed")]
+    fn retracting_a_stranger_panics_instead_of_under_admitting() {
+        let mut shard = ShardSynopsis::default();
+        shard.absorb(&GraphSynopsis::of(&triangle(0)));
+        shard.retract(&GraphSynopsis::of(&path(&[0, 0, 1])));
+    }
+
+    #[test]
+    fn synopsis_memory_is_bounded_by_distinct_values_not_by_graph_count() {
+        let family = [triangle(0), star(7, &[1, 2, 3]), path(&[4, 5, 4])];
+        let synopses: Vec<GraphSynopsis> = family.iter().map(GraphSynopsis::of).collect();
+        let mut shard = ShardSynopsis::default();
+        for g in &synopses {
+            shard.absorb(g);
+        }
+        let once = shard.memory_bytes();
+        assert!(once > 0);
+        for _ in 0..1_000 {
+            for g in &synopses {
+                shard.absorb(g);
             }
         }
-        // The dead slot still counts toward `graphs` (dense id space) but
-        // contributes no labels, degrees or pairs.
-        assert_eq!(after.graphs, ds.len());
-        assert!(!after.max_label_counts.contains_key(&7));
+        assert_eq!(shard.graphs, 3_003);
+        assert_eq!(shard.memory_bytes(), once);
     }
 
     #[test]

@@ -74,7 +74,7 @@ use super::synopsis::{Router, RoutingMode};
 use crate::metrics::{counted_false_positive_ratio, CacheCounters, StageTotals, Stopwatch};
 use executor::Shard;
 use merge::WaveMerge;
-use sqbench_graph::{Dataset, Graph, GraphId, GraphSynopsis, ShardSynopsis};
+use sqbench_graph::{Dataset, Graph, GraphId, GraphSynopsis};
 use sqbench_index::{build_index, IndexStats, MethodConfig, MethodKind};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -468,35 +468,34 @@ impl ShardedService {
 
     /// Removes the graph with global id `global_id` online: tombstones it
     /// in its shard's dataset and index (ids stay dense; payload
-    /// compaction is lazy), recomputes that shard's routing synopsis from
-    /// its live contents, and **invalidates every cache**. Returns `false`
-    /// when the id is unknown or already removed.
+    /// compaction is lazy), takes it back out of that shard's routing
+    /// synopsis and fingerprint, and **invalidates every cache**. Returns
+    /// `false` when the id is unknown or already removed.
     ///
-    /// The recomputed synopsis may stay wider than strictly necessary
-    /// between compactions but is always recomputed over the live graphs
-    /// only (dead slots hold empty placeholders that widen nothing), so
-    /// [`ShardSynopsis::admits`] remains a sound necessary condition and
-    /// never narrows below the shard's live contents.
+    /// The routing tier pays for the one graph being removed — its
+    /// synopsis and short paths, through [`Router::retract`] — never for a
+    /// pass over the shard, and what it leaves is exactly what rebuilding
+    /// the router over the shard's live graphs would compute (see
+    /// [`Router`]): bounds and bits the victim alone witnessed are gone,
+    /// everything a live graph needs is still there.
     pub fn remove_graph(&mut self, global_id: GraphId) -> bool {
         for s in 0..self.shards.len() {
-            let recomputed = {
-                let mut core = self.shards[s].lock();
-                let Ok(local) = core.to_global.binary_search(&global_id) else {
-                    continue;
-                };
-                if !core.dataset.remove(local) {
-                    // Already tombstoned: report idempotently, touch nothing.
-                    return false;
-                }
-                let index_removed = core.index.remove(local);
-                debug_assert!(index_removed, "dataset and index tombstones diverged");
-                (
-                    ShardSynopsis::of(&core.dataset),
-                    Router::shard_fingerprint(&core.dataset),
-                )
+            let mut core = self.shards[s].lock();
+            let Ok(local) = core.to_global.binary_search(&global_id) else {
+                continue;
             };
-            let (synopsis, fingerprint) = recomputed;
-            self.router.replace(s, synopsis, fingerprint);
+            let Ok(victim) = core.dataset.shared(local).cloned() else {
+                // Already tombstoned: report idempotently, touch nothing.
+                return false;
+            };
+            let dataset_removed = core.dataset.remove(local);
+            let index_removed = core.index.remove(local);
+            debug_assert!(
+                dataset_removed && index_removed,
+                "dataset and index tombstones diverged"
+            );
+            drop(core);
+            self.router.retract(s, &victim, &GraphSynopsis::of(&victim));
             self.invalidate_caches();
             return true;
         }

@@ -422,10 +422,10 @@ fn drained_mutations_interleave_with_reads_in_ticket_order() {
     );
 }
 
-/// Satellite 3 — synopsis soundness across removals: after online
-/// removals the recomputed shard synopses may tighten, but routed
-/// answers must stay bit-identical to the rebuilt-from-scratch oracle
-/// over the live dataset (no live graph is ever routed past).
+/// Satellite 3 — synopsis soundness across removals: online removals
+/// retract the victims from their shards' synopses, which may tighten,
+/// but routed answers must stay bit-identical to the rebuilt-from-scratch
+/// oracle over the live dataset (no live graph is ever routed past).
 #[test]
 fn routing_stays_sound_after_removals() {
     let (ds, queries) = setup(18, 5);
@@ -450,13 +450,11 @@ fn routing_stays_sound_after_removals() {
     );
     // Every live graph is still admitted somewhere (a graph contains
     // itself, so the shard hosting it must admit it).
-    for (id, g) in live.iter() {
-        if live.is_live(id) {
-            assert!(
-                service.router().route(g).iter().any(|&admitted| admitted),
-                "live graph {id} routed past every shard"
-            );
-        }
+    for (id, g) in live.iter_live() {
+        assert!(
+            service.router().route(g).iter().any(|&admitted| admitted),
+            "live graph {id} routed past every shard"
+        );
     }
     // And routed answers match the rebuilt oracle over the live set.
     let refs: Vec<&Graph> = queries.iter().collect();

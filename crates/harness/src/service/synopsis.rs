@@ -10,9 +10,10 @@
 //! neighborhood-satisfying subgraph routing) skips those partitions with
 //! per-partition summaries. [`Router`] is that summary tier here: each
 //! shard carries a [`ShardSynopsis`] (label multiplicities, degree
-//! histogram, edge label pairs, size maxima — computed once at partition
-//! time), and a wave consults [`Router::plan`] to dispatch each query only
-//! to shards whose synopsis admits it.
+//! histogram, edge label pairs, size maxima — folded at partition time,
+//! then kept current per insert *and per remove* in O(the one graph)), and
+//! a wave consults [`Router::plan`] to dispatch each query only to shards
+//! whose synopsis admits it.
 //!
 //! Routing obeys the same **no-false-negative contract** as index
 //! filtering: [`ShardSynopsis::admits`] is a sound necessary condition
@@ -75,11 +76,24 @@ impl RoutingMode {
     }
 }
 
-/// The routing planner: one [`ShardSynopsis`] per shard, consulted before
-/// each wave. Building it costs one pass over every shard's graphs;
-/// consulting it costs one query-synopsis computation plus `O(shards)`
-/// admissibility checks per query — orders of magnitude below a single
-/// index probe.
+/// The routing planner: one [`ShardSynopsis`] and one routing
+/// [`Fingerprint`] per shard, consulted before each wave. Building it costs
+/// one pass over every shard's graphs; consulting it costs one
+/// query-synopsis computation plus `O(shards)` admissibility checks per
+/// query — orders of magnitude below a single index probe.
+///
+/// # Keeping it current
+///
+/// The routing tier is **exactly subtractable**: [`Router::absorb`] and its
+/// inverse [`Router::retract`] each cost one graph's synopsis and short
+/// paths, never a pass over the shard. The synopsis carries the
+/// multiplicity of every bound's witnesses (see [`ShardSynopsis`]); the
+/// fingerprint carries, per bit, the number of live graphs that set it. The
+/// invariant, pinned by the `incremental_router_equals_rebuild` property: after any
+/// interleaving of absorbs and retracts, every shard's synopsis and
+/// fingerprint **equal** what [`Router::build`] computes from the shard's
+/// live graphs — so the router under-admits never and over-admits exactly
+/// as much as a rebuild would.
 #[derive(Debug, Clone)]
 pub struct Router {
     synopses: Vec<ShardSynopsis>,
@@ -92,12 +106,18 @@ pub struct Router {
     /// — bounds refute on *counts*, fingerprints on *which* label
     /// sequences exist.
     fingerprints: Vec<Fingerprint>,
+    /// Per shard, per fingerprint bit: how many live graphs set it. A bit
+    /// of `fingerprints[s]` is set iff its count is non-zero. A graph
+    /// contributes at most 1 per bit, so a count is bounded by the shard's
+    /// graph count and needs no saturation rule; `ROUTE_FP_BITS` `u32`s
+    /// (8 KB) per shard, nothing per graph.
+    bit_counts: Vec<Vec<u32>>,
 }
 
 impl Router {
     /// Path fingerprint of a single graph, at the router's configuration.
-    /// Empty graphs (e.g. tombstoned dataset slots) enumerate no paths and
-    /// produce the all-zero fingerprint, which widens nothing when folded.
+    /// The empty graph enumerates no paths and produces the all-zero
+    /// fingerprint.
     pub fn graph_fingerprint(g: &Graph) -> Fingerprint {
         let mut fp = Fingerprint::new(ROUTE_FP_BITS);
         for_each_path(g, ROUTE_FP_MAX_PATH_EDGES, |labels, _| {
@@ -106,26 +126,35 @@ impl Router {
         fp
     }
 
-    /// OR-fold of the path fingerprints of every graph in `dataset` — the
-    /// shard-level routing fingerprint.
+    /// OR-fold of the path fingerprints of every live graph in `dataset` —
+    /// the shard-level routing fingerprint by rescan. The write path never
+    /// calls it; it is the oracle [`Router::retract`] is tested and benched
+    /// against (with [`ShardSynopsis::of`]).
     pub fn shard_fingerprint(dataset: &Dataset) -> Fingerprint {
         let mut fp = Fingerprint::new(ROUTE_FP_BITS);
-        for (_, g) in dataset.iter() {
+        for (_, g) in dataset.iter_live() {
             fp.union_with(&Self::graph_fingerprint(g));
         }
         fp
     }
 
-    /// Builds the router over the shards' dataset slices, in shard order.
+    /// Builds the router over the shards' dataset slices, in shard order,
+    /// by absorbing every live graph.
     pub fn build<'a>(shards: impl IntoIterator<Item = &'a Dataset>) -> Self {
-        let (synopses, fingerprints) = shards
-            .into_iter()
-            .map(|d| (ShardSynopsis::of(d), Self::shard_fingerprint(d)))
-            .unzip();
-        Router {
-            synopses,
-            fingerprints,
+        let mut router = Router {
+            synopses: Vec::new(),
+            fingerprints: Vec::new(),
+            bit_counts: Vec::new(),
+        };
+        for (shard, dataset) in shards.into_iter().enumerate() {
+            router.synopses.push(ShardSynopsis::default());
+            router.fingerprints.push(Fingerprint::new(ROUTE_FP_BITS));
+            router.bit_counts.push(vec![0; ROUTE_FP_BITS]);
+            for (_, g) in dataset.iter_live() {
+                router.absorb(shard, g, &GraphSynopsis::of(g));
+            }
         }
+        router
     }
 
     /// Number of shards the router covers.
@@ -150,22 +179,38 @@ impl Router {
     /// graph's own subgraphs are now dominated too.
     pub fn absorb(&mut self, shard: usize, graph: &Graph, synopsis: &GraphSynopsis) {
         self.synopses[shard].absorb(synopsis);
-        self.fingerprints[shard].union_with(&Self::graph_fingerprint(graph));
+        let fingerprint = Self::graph_fingerprint(graph);
+        self.fingerprints[shard].union_with(&fingerprint);
+        for bit in fingerprint.ones() {
+            self.bit_counts[shard][bit] += 1;
+        }
     }
 
-    /// Replaces one shard's synopsis and fingerprint wholesale — the
-    /// removal path, which recomputes from the shard's live contents. The
-    /// caller must supply values that still dominate every *live* graph
-    /// (recomputing via [`ShardSynopsis::of`] / [`Router::shard_fingerprint`]
-    /// over the mutated dataset does, because dead slots hold empty
-    /// placeholder graphs that widen nothing).
-    pub fn replace(&mut self, shard: usize, synopsis: ShardSynopsis, fingerprint: Fingerprint) {
-        self.synopses[shard] = synopsis;
-        self.fingerprints[shard] = fingerprint;
+    /// The inverse of [`Router::absorb`]: takes a graph the shard is losing
+    /// back out of its synopsis and fingerprint, at the cost of that one
+    /// graph's paths. A bound or a bit goes only when the graph was its
+    /// last witness, so what is left still dominates every live graph —
+    /// and is exactly what a rebuild over them would produce.
+    ///
+    /// # Panics
+    ///
+    /// If `graph` was never absorbed into `shard`.
+    pub fn retract(&mut self, shard: usize, graph: &Graph, synopsis: &GraphSynopsis) {
+        self.synopses[shard].retract(synopsis);
+        for bit in Self::graph_fingerprint(graph).ones() {
+            let count = &mut self.bit_counts[shard][bit];
+            *count = count
+                .checked_sub(1)
+                .expect("retracted a graph the shard never absorbed");
+            if *count == 0 {
+                self.fingerprints[shard].clear(bit);
+            }
+        }
     }
 
-    /// Estimated heap bytes of all shard synopses and routing fingerprints
-    /// — the memory the routing tier adds on top of the per-shard indexes.
+    /// Estimated heap bytes of all shard synopses, routing fingerprints and
+    /// per-bit counts — the memory the routing tier adds on top of the
+    /// per-shard indexes. Per shard, not per graph.
     pub fn memory_bytes(&self) -> usize {
         self.synopses
             .iter()
@@ -175,6 +220,11 @@ impl Router {
                 .fingerprints
                 .iter()
                 .map(Fingerprint::memory_bytes)
+                .sum::<usize>()
+            + self
+                .bit_counts
+                .iter()
+                .map(|counts| counts.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>()
     }
 
@@ -340,5 +390,64 @@ mod tests {
         assert!(router
             .fingerprint(0)
             .covers(&Router::graph_fingerprint(&query)));
+    }
+
+    #[test]
+    fn retract_clears_only_the_bits_the_victim_alone_witnessed() {
+        // Two graphs share the 7-7 paths; only the chain has a 7-7-7-7 one
+        // and only the decoy anything with a 9 in it.
+        let chain = mono_path(7, 4);
+        let pair = mono_path(7, 2);
+        let decoy = GraphBuilder::new("decoy")
+            .vertices(&[7, 9])
+            .edges(&[(0, 1)])
+            .build()
+            .unwrap();
+        let graphs = [chain.clone(), pair.clone(), decoy.clone()];
+        let mut shard = Dataset::from_graphs("s", graphs.to_vec());
+        let mut router = Router::build([&shard]);
+        let full = router.fingerprint(0).clone();
+        assert_eq!(&full, &Router::shard_fingerprint(&shard));
+
+        // The chain leaves: its long paths' bits go, the shared 7-7 bits
+        // stay (the pair still witnesses them), and the result is exactly
+        // the rescan over what is left — tombstone and all.
+        router.retract(0, &chain, &GraphSynopsis::of(&chain));
+        assert!(shard.remove(0));
+        assert!(router.fingerprint(0).count_ones() < full.count_ones());
+        assert!(router
+            .fingerprint(0)
+            .covers(&Router::graph_fingerprint(&pair)));
+        assert!(!router
+            .fingerprint(0)
+            .covers(&Router::graph_fingerprint(&chain)));
+        assert_eq!(router.fingerprint(0), &Router::shard_fingerprint(&shard));
+        assert_eq!(router.synopsis(0), &ShardSynopsis::of(&shard));
+        assert_eq!(router.synopsis(0).graphs, 2, "the dead slot is no graph");
+        assert_eq!(router.route(&mono_path(7, 3)), vec![false]);
+        assert_eq!(router.route(&pair), vec![true]);
+
+        // Absorbing it again restores every bit; retracting everything
+        // returns the empty router state.
+        router.absorb(0, &chain, &GraphSynopsis::of(&chain));
+        assert_eq!(router.fingerprint(0), &full);
+        for g in &graphs {
+            router.retract(0, g, &GraphSynopsis::of(g));
+        }
+        assert_eq!(router.synopsis(0), &ShardSynopsis::default());
+        assert_eq!(router.fingerprint(0).count_ones(), 0);
+    }
+
+    #[test]
+    fn build_skips_tombstoned_slots() {
+        let mut shard = shard_of(0, &[3, 6]);
+        assert!(shard.remove(1));
+        let router = Router::build([&shard]);
+        assert_eq!(router.synopsis(0).graphs, 1);
+        assert_eq!(router.synopsis(0).max_vertices, 3);
+        assert_eq!(
+            router.fingerprint(0),
+            &Router::graph_fingerprint(&mono_path(0, 3))
+        );
     }
 }
