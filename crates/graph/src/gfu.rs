@@ -109,7 +109,10 @@ pub fn parse_dataset(name: &str, text: &str) -> Result<Dataset> {
             message: "unexpected end of input: missing vertex count".into(),
         })?;
         let vcount = parse_count(ln, vcount_text, "vertex")?;
-        let mut g = Graph::with_capacity(graph_name, vcount);
+        // The count is untrusted: vertices grow as their label lines
+        // arrive, so a huge count over a short input fails at the first
+        // missing line instead of reserving (or overflowing) up front.
+        let mut g = Graph::new(graph_name);
         for _ in 0..vcount {
             let (ln, label_text) = cursor.next().ok_or(GraphError::Parse {
                 line: line_no,
@@ -230,6 +233,22 @@ mod tests {
         let text = "#g\n2\n0\n1\n1\n0 5\n";
         let err = parse_dataset("x", text).unwrap_err();
         assert!(err.to_string().contains("invalid edge"));
+    }
+
+    /// Untrusted counts and labels are parse errors, never an abort, a
+    /// capacity-overflow panic or an allocation sized by the input's claims.
+    #[test]
+    fn adversarial_counts_and_labels_are_parse_errors() {
+        for text in [
+            "#g\n100000000000\n0\n",
+            "#g\n18446744073709551615\n",
+            "#g\n99999999999999999999999\n",
+            "#g\n2\n0\n1\n18446744073709551615\n0 1\n",
+            "#g\n1\n4294967296\n0\n",
+        ] {
+            let err = parse_dataset("x", text).unwrap_err();
+            assert!(matches!(err, GraphError::Parse { .. }), "{text:?}: {err}");
+        }
     }
 
     #[test]

@@ -67,17 +67,30 @@ fn service_on(ds: &Dataset, faults: Option<Arc<FaultPlan>>) -> ShardedService {
     ShardedService::new(MethodKind::Ggsx, &MethodConfig::fast(), ds, opts)
 }
 
-/// Closed-loop calibration: mean per-query seconds when offered load
-/// adapts to capacity. The saturation multipliers are relative to this,
-/// so the soak exercises the same regimes on any hardware class.
-fn calibrate(service: &mut ShardedService, pool: &[Graph]) -> f64 {
+/// Closed-loop calibration: per-query seconds of the first (cold) and of
+/// the fastest of `samples` 3-wave samples. The load multipliers and the
+/// deadline budget are relative to these, so the soak exercises the same
+/// regimes on any hardware class. A neighbour's CPU burst can only slow a
+/// sample down: an arm that must saturate scales the fastest sample (one
+/// slow sample would read capacity low, and "4x" would not saturate),
+/// while an arm that must stay below capacity, the budget and the shed
+/// door's seed cost scale the cold one.
+fn calibrate(service: &mut ShardedService, pool: &[Graph], samples: usize) -> (f64, f64) {
     let refs: Vec<&Graph> = pool.iter().collect();
-    let started = std::time::Instant::now();
-    let mut served = 0usize;
-    for _ in 0..3 {
-        served += service.run_wave(&refs, None).records.len();
-    }
-    (started.elapsed().as_secs_f64() / served as f64).max(1e-6)
+    let samples: Vec<f64> = (0..samples)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let mut served = 0usize;
+            for _ in 0..3 {
+                served += service.run_wave(&refs, None).records.len();
+            }
+            (started.elapsed().as_secs_f64() / served as f64).max(1e-6)
+        })
+        .collect();
+    (
+        samples[0],
+        samples.iter().copied().fold(f64::INFINITY, f64::min),
+    )
 }
 
 struct SoakRun {
@@ -170,24 +183,15 @@ fn assert_no_lost_tickets(run: &SoakRun, label: &str) {
 fn saturation_sweep_keeps_the_admission_and_latency_contract() {
     let (ds, pool) = setup(900, 8);
     let mut service = service_on(&ds, None);
-    let per_query_s = calibrate(&mut service, &pool);
-    let capacity_qps = 1.0 / per_query_s;
-    let seed_cost = Duration::from_secs_f64(per_query_s);
+    let (cold_s, best_s) = calibrate(&mut service, &pool, 7);
+    let seed_cost = Duration::from_secs_f64(cold_s);
     // Generous enough that an unloaded run never brushes against it,
     // tight enough that saturation must shed rather than queue forever.
-    let budget = Duration::from_secs_f64((per_query_s * 16.0).max(0.005));
+    let budget = Duration::from_secs_f64((cold_s * 16.0).max(0.005));
 
     let mut runs = Vec::new();
-    for mult in [0.25, 2.0, 4.0] {
-        runs.push(soak(
-            &mut service,
-            &pool,
-            8,
-            96,
-            capacity_qps * mult,
-            budget,
-            seed_cost,
-        ));
+    for qps in [0.25 / cold_s, 2.0 / best_s, 4.0 / best_s] {
+        runs.push(soak(&mut service, &pool, 8, 96, qps, budget, seed_cost));
     }
     let [low, sat2, sat4] = runs.try_into().ok().expect("three runs");
 
@@ -199,8 +203,8 @@ fn saturation_sweep_keeps_the_admission_and_latency_contract() {
     // Sheds come from saturation, not from the door: real saturation sheds,
     // and a quarter of measured capacity sheds (next to) nothing. The pin is
     // the ratio between the two arms of this run rather than an absolute
-    // zero — capacity is one closed-loop sample, and a neighbour's CPU
-    // burst during the 0.25x arm can shed a few of its 96 arrivals.
+    // zero — a neighbour's CPU burst during the 0.25x arm can still shed a
+    // few of its 96 arrivals.
     assert!(
         sat4.open.shed > 0,
         "4x saturation with a bounded queue must shed at the door"
@@ -218,10 +222,15 @@ fn saturation_sweep_keeps_the_admission_and_latency_contract() {
     // single OS-scheduling hiccup in the *unloaded* run can push its p99
     // by milliseconds on a busy one-core box, and shedding legitimately
     // trims the 4x tail below the 2x tail.
+    // A level that served nothing (a neighbour's burst can leave a 4x run
+    // shedding or timing out every arrival) has no p50 to compare.
     let p99 = |run: &SoakRun| run.totals.latency_percentile(0.99);
     let p50 = |run: &SoakRun| run.totals.latency_percentile(0.50);
+    let served = |run: &SoakRun| run.outcome_count(QueryOutcome::is_executed) > 0;
     assert!(
-        p50(&low) <= p50(&sat2) && p50(&low) <= p50(&sat4),
+        [&sat2, &sat4]
+            .iter()
+            .all(|run| !served(run) || p50(&low) <= p50(run)),
         "saturated p50 ({:.4}s / {:.4}s) must not beat the unloaded p50 ({:.4}s)",
         p50(&sat2),
         p50(&sat4),
@@ -253,7 +262,7 @@ fn stalled_shard_leaves_completing_queries_near_the_unloaded_baseline() {
 
     // Unloaded baseline: a quarter of capacity, no faults.
     let mut healthy = service_on(&ds, None);
-    let per_query_s = calibrate(&mut healthy, &pool);
+    let (per_query_s, _) = calibrate(&mut healthy, &pool, 1);
     let capacity_qps = 1.0 / per_query_s;
     let seed_cost = Duration::from_secs_f64(per_query_s);
     let budget = Duration::from_secs_f64((per_query_s * 16.0).max(0.005));
