@@ -1,4 +1,4 @@
-//! Raw-speed A/B micro-benchmarks of the three filter/verify hot-loop
+//! Raw-speed A/B micro-benchmarks of the four filter/verify hot-loop
 //! optimisations, each timed against the implementation it replaced:
 //!
 //! * `hotloop_intersect` — the 4×u64 wide intersection/mask kernels of
@@ -11,15 +11,22 @@
 //! * `hotloop_routing` — sharded waves under fingerprint-sharpened routing
 //!   ([`RoutingMode::SynopsisFingerprint`]) vs the bound checks alone
 //!   ([`RoutingMode::Synopsis`]), on a workload whose decoy shards
-//!   the bounds admit but the path-fingerprint content refutes.
+//!   the bounds admit but the path-fingerprint content refutes;
+//! * `hotloop_query_paths` — the path methods' query side on AIDS-like
+//!   queries: the query's DFS walking the trie with a node cursor
+//!   (`PathTrie::walk`, what GGSX and Grapes filter through) vs every
+//!   traversal's label sequence collected into an ordered map and looked up
+//!   once per distinct sequence.
 //!
 //! Every axis asserts its correctness gate **before** timing: both sides of
 //! each A/B pair must produce identical results. The committed
 //! `BENCH_micro_hotloops.json` baseline feeds the CI regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sqbench_generator::{QueryGen, RealDataset};
 use sqbench_graph::{Dataset, Graph, GraphBuilder, GraphId};
 use sqbench_harness::service::{RoutingMode, ServiceOptions, ShardedService};
+use sqbench_index::ggsx::GgsxIndex;
 use sqbench_index::{ArenaFold, CandidateSet, MethodConfig, MethodKind, Tombstones};
 
 // ---------------------------------------------------------------- intersect
@@ -175,6 +182,61 @@ fn wave_answers(service: &mut ShardedService, queries: &[&Graph]) -> (Vec<Vec<Gr
     (answers, report.shards_probed())
 }
 
+// -------------------------------------------------------------- query paths
+
+const PATH_GRAPHS: usize = 700;
+
+/// A GGSX store over AIDS-like molecules (the `sparse_screen` regime, at
+/// the paper's path length) and queries extracted from them: 32 each of 4,
+/// 8 and 16 edges.
+fn query_path_fixture() -> (GgsxIndex, Vec<Graph>) {
+    let ds = RealDataset::Aids.generate_with(PATH_GRAPHS as f64 / 40_000.0, 1.0, 7);
+    let store = GgsxIndex::build(&ds, MethodConfig::default().ggsx);
+    let queries = [4, 8, 16]
+        .into_iter()
+        .flat_map(|edges| {
+            QueryGen::new(11)
+                .generate(&ds, 32, edges)
+                .iter()
+                .map(|(q, _)| q.clone())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    (store, queries)
+}
+
+/// A query's resolved postings: `(trie node, traversal count)` pairs, or
+/// `None` when some query path is absent from the trie.
+type Postings = Option<Vec<(usize, u32)>>;
+
+/// The query side GGSX and Grapes ran before the walk: every traversal's
+/// label sequence into an ordered map, then one trie lookup per distinct
+/// sequence; `None` at the first sequence the trie lacks.
+fn label_map_postings(store: &GgsxIndex, query: &Graph) -> Postings {
+    store
+        .query_path_counts(query)
+        .iter()
+        .map(|(labels, &count)| Some((store.trie().lookup(labels)?, count)))
+        .collect()
+}
+
+fn trie_walk_postings(store: &GgsxIndex, query: &Graph) -> Postings {
+    store.trie().walk(query, store.config().max_path_edges)
+}
+
+/// Postings resolved over the whole query set (the fold's input, summed so
+/// nothing is optimised away).
+fn resolve_all(
+    store: &GgsxIndex,
+    queries: &[Graph],
+    postings: fn(&GgsxIndex, &Graph) -> Postings,
+) -> usize {
+    queries
+        .iter()
+        .map(|q| postings(store, q).map_or(0, |p| p.len()))
+        .sum()
+}
+
 // --------------------------------------------------------------------- main
 
 fn bench_hotloops(c: &mut Criterion) {
@@ -302,6 +364,35 @@ fn bench_hotloops(c: &mut Criterion) {
     );
     group.finish();
 
+    // ---- Axis 4: label-map extraction vs the trie walk.
+    let (store, path_queries) = query_path_fixture();
+    for query in &path_queries {
+        let mut by_label_map = label_map_postings(&store, query);
+        if let Some(pairs) = &mut by_label_map {
+            pairs.sort_unstable();
+        }
+        assert_eq!(
+            trie_walk_postings(&store, query),
+            by_label_map,
+            "the trie walk resolved other (posting, count) pairs than the label map"
+        );
+    }
+    let mut group = c.benchmark_group("hotloop_query_paths");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.bench_with_input(
+        BenchmarkId::new("label_map", path_queries.len()),
+        &path_queries,
+        |b, queries| b.iter(|| resolve_all(&store, queries, label_map_postings)),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("trie_walk", path_queries.len()),
+        &path_queries,
+        |b, queries| b.iter(|| resolve_all(&store, queries, trie_walk_postings)),
+    );
+    group.finish();
+
     // ---- Speedup summary straight from the recorded medians.
     let results = c.results();
     let median = |id: &str| results.iter().find(|r| r.id == id).map(|r| r.median_ns);
@@ -320,6 +411,11 @@ fn bench_hotloops(c: &mut Criterion) {
             "routing",
             format!("hotloop_routing/bounds_only/{}", route_ds.len()),
             format!("hotloop_routing/fingerprint/{}", route_ds.len()),
+        ),
+        (
+            "query paths",
+            format!("hotloop_query_paths/label_map/{}", path_queries.len()),
+            format!("hotloop_query_paths/trie_walk/{}", path_queries.len()),
         ),
     ];
     for (name, before, after) in &pairs {

@@ -81,24 +81,50 @@ pub fn for_each_path<F>(g: &Graph, max_edges: usize, mut visit: F)
 where
     F: FnMut(&[Label], VertexId),
 {
+    walk_paths(g, max_edges, (), |(), labels, start| {
+        visit(labels, start);
+        Some(())
+    });
+}
+
+/// The one traversal DFS, threading a caller cursor along each traversal:
+/// `step(parent, labels, start)` is called once per directed simple-path
+/// traversal of `0..=max_edges` edges, in [`for_each_path`]'s order, with
+/// the cursor `step` returned for the same traversal one vertex shorter
+/// (`root` for a zero-edge traversal). Returning `None` ends the whole walk;
+/// the result is `false` exactly then. The path methods walk their label
+/// trie with a query this way — the cursor is a trie node, and stepping off
+/// the trie ends the walk.
+pub fn walk_paths<C, F>(g: &Graph, max_edges: usize, root: C, mut step: F) -> bool
+where
+    C: Copy,
+    F: FnMut(C, &[Label], VertexId) -> Option<C>,
+{
     let mut labels_buf: Vec<Label> = Vec::with_capacity(max_edges + 1);
     let mut visited = vec![false; g.vertex_count()];
     for start in g.vertices() {
         labels_buf.push(g.label(start));
-        visit(&labels_buf, start);
+        let Some(cursor) = step(root, &labels_buf, start) else {
+            return false;
+        };
         visited[start] = true;
-        dfs_paths(
+        let complete = dfs_paths(
             g,
             start,
             start,
+            cursor,
             max_edges,
             &mut labels_buf,
             &mut visited,
-            &mut visit,
+            &mut step,
         );
         visited[start] = false;
         labels_buf.pop();
+        if !complete {
+            return false;
+        }
     }
+    true
 }
 
 /// Enumerates all simple paths of `1..=max_edges` edges (and the length-0
@@ -117,19 +143,23 @@ pub fn enumerate_paths(g: &Graph, max_edges: usize) -> PathSet {
     set
 }
 
-fn dfs_paths<F>(
+#[allow(clippy::too_many_arguments)]
+fn dfs_paths<C, F>(
     g: &Graph,
     start: VertexId,
     current: VertexId,
+    cursor: C,
     remaining: usize,
     labels_buf: &mut Vec<Label>,
     visited: &mut Vec<bool>,
-    visit: &mut F,
-) where
-    F: FnMut(&[Label], VertexId),
+    step: &mut F,
+) -> bool
+where
+    C: Copy,
+    F: FnMut(C, &[Label], VertexId) -> Option<C>,
 {
     if remaining == 0 {
-        return;
+        return true;
     }
     for &next in g.neighbors(current) {
         if visited[next] {
@@ -137,18 +167,32 @@ fn dfs_paths<F>(
         }
         visited[next] = true;
         labels_buf.push(g.label(next));
-        visit(labels_buf, start);
-        dfs_paths(g, start, next, remaining - 1, labels_buf, visited, visit);
+        let complete = step(cursor, labels_buf, start).is_some_and(|child| {
+            dfs_paths(
+                g,
+                start,
+                next,
+                child,
+                remaining - 1,
+                labels_buf,
+                visited,
+                step,
+            )
+        });
         labels_buf.pop();
         visited[next] = false;
+        if !complete {
+            return false;
+        }
     }
+    true
 }
 
-/// Enumerates only the canonical keys of all simple paths up to `max_edges`
-/// edges of a *query* graph. During filtering the occurrence counts of the
-/// query itself are also needed (GGSX compares per-graph frequencies), so
-/// the full [`PathSet`] is returned; this helper simply mirrors
-/// [`enumerate_paths`] under a more intention-revealing name.
+/// The query side of [`enumerate_paths`]: the canonical keys of all simple
+/// paths up to `max_edges` edges of a *query* graph, with their occurrence
+/// counts. No served filter calls it — GGSX and Grapes walk their trie with
+/// the query through [`walk_paths`] instead — but it is the path-extraction
+/// cost `sqbench-e2e`'s `features.paths_us` row times.
 pub fn query_paths(query: &Graph, max_edges: usize) -> PathSet {
     enumerate_paths(query, max_edges)
 }
@@ -266,5 +310,27 @@ mod tests {
         assert!(traversals.contains(&(vec![1, 2, 3], 0)));
         assert!(traversals.contains(&(vec![3, 2, 1], 2)));
         assert!(traversals.contains(&(vec![2], 1)));
+    }
+
+    /// The cursor a traversal receives is the one its one-vertex-shorter
+    /// prefix returned, and a `None` step ends the walk at once.
+    #[test]
+    fn walk_paths_threads_the_prefix_cursor_and_stops_on_none() {
+        let g = labeled_path(&[1, 2, 3]);
+        let mut traversals = 0;
+        let complete = walk_paths(&g, 2, 0usize, |depth, labels, _| {
+            assert_eq!(depth + 1, labels.len(), "cursor is the prefix's");
+            traversals += 1;
+            Some(labels.len())
+        });
+        assert!(complete);
+        assert_eq!(traversals, 9);
+        let mut steps = 0;
+        let complete = walk_paths(&g, 2, (), |(), labels, _| {
+            steps += 1;
+            (labels != [1, 2]).then_some(())
+        });
+        assert!(!complete);
+        assert_eq!(steps, 2, "[1], then [1, 2] stops the walk");
     }
 }

@@ -46,8 +46,9 @@
 //! mutation — which is exactly what lets the answer memo stay *enabled*
 //! on mutable workloads: a memo hit skips the shards entirely, and
 //! without the automatic flush it would replay answers from before the
-//! mutation (the stale-cache hazard pinned by the
-//! `mutations_invalidate_the_answer_memo` regression test).
+//! mutation (the stale-cache hazard pinned by the `Script::Churn` cells of
+//! the root `tests/config_matrix.rs`, which remove a memo-warm answer, read,
+//! insert its twin and read again, for every method).
 
 use super::past;
 use super::stages::QueryOutcome;

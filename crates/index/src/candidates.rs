@@ -9,9 +9,6 @@
 //!   membership is popcount-free bit probing, and cardinality is a popcount
 //!   sweep. One set is allocated per worker and *narrowed in place*, so the
 //!   per-feature cost is `O(dataset / 64)` words with zero allocation.
-//! * [`PostingList`] — a sorted id list as stored in index payloads; its
-//!   slice streams into a bitset through [`CandidateSet::retain_sorted`]
-//!   without being converted first.
 //! * [`ArenaFold`] — the seed-then-narrow loop over a caller-owned arena
 //!   set, and `fold_rarest_first`, the one routine GraphGrepSX, Grapes,
 //!   gIndex and Tree+Δ all filter through: each method only *describes* its
@@ -391,72 +388,6 @@ impl Iterator for BlockBits {
     }
 }
 
-/// A sorted, deduplicated list of graph ids — the representation index
-/// payloads store per feature.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PostingList {
-    ids: Vec<GraphId>,
-}
-
-impl PostingList {
-    /// Wraps an already-sorted, deduplicated id vector.
-    pub fn from_sorted(ids: Vec<GraphId>) -> Self {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "ids must be strictly ascending"
-        );
-        PostingList { ids }
-    }
-
-    /// The ids as a slice.
-    pub fn as_slice(&self) -> &[GraphId] {
-        &self.ids
-    }
-
-    /// Number of ids.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// `true` when no graph contains the feature.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// `true` when the ids are strictly ascending — the storage invariant
-    /// every construction, ingest and compaction path must preserve (the
-    /// ingest proptests check it after arbitrary interleavings).
-    pub fn is_strictly_ascending(&self) -> bool {
-        self.ids.windows(2).all(|w| w[0] < w[1])
-    }
-
-    /// Appends an id strictly larger than every stored id — the online
-    /// insert path, where a new graph's id is always the dataset maximum.
-    pub fn append_max(&mut self, id: GraphId) {
-        debug_assert!(
-            self.ids.last().is_none_or(|&last| last < id),
-            "append_max requires a new maximum id"
-        );
-        self.ids.push(id);
-    }
-
-    /// Estimated heap bytes.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.ids.capacity() * std::mem::size_of::<GraphId>()
-    }
-
-    /// Drops every tombstoned id from the list — the lazy-compaction step
-    /// of the mutable-index contract. Posting payloads keep dead ids until
-    /// [`Tombstones::should_compact`] trips; until then the per-query
-    /// [`Tombstones::apply`] mask keeps them out of candidate sets.
-    pub fn compact(&mut self, dead: &Tombstones) {
-        if dead.is_empty() {
-            return;
-        }
-        self.ids.retain(|&id| !dead.contains(id));
-    }
-}
-
 /// The dead-id mask every mutable index carries: a sorted list of removed
 /// graph ids over the (dense, stable) id space of its dataset.
 ///
@@ -467,7 +398,7 @@ impl PostingList {
 /// payloads that still mention the id *and* the "unconstrained → full set"
 /// fallbacks (Scan, folds with no indexed feature). When the mask grows past
 /// [`Tombstones::should_compact`], `remove` has the index purge its payloads
-/// ([`PostingList::compact`], trie purge, …) — but the mask itself is
+/// (support `retain`, trie purge, …) — but the mask itself is
 /// **kept**, because the full-set fallbacks never consult payloads at all.
 #[derive(Debug, Clone, Default)]
 pub struct Tombstones {
@@ -945,17 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn posting_list_streams_into_a_set() {
-        let p = PostingList::from_sorted(vec![3, 7, 9]);
-        assert_eq!(p.as_slice(), &[3, 7, 9]);
-        assert_eq!(p.len(), 3);
-        let mut set = CandidateSet::full(10);
-        set.retain_sorted(p.as_slice().iter().copied());
-        assert_eq!(set.to_sorted_vec(), vec![3, 7, 9]);
-        assert!(PostingList::default().is_empty());
-    }
-
-    #[test]
     fn tombstones_mark_apply_and_compact() {
         let mut dead = Tombstones::new();
         assert!(dead.is_empty());
@@ -973,12 +893,6 @@ mod tests {
         let mut small = CandidateSet::full(4);
         dead.apply(&mut small);
         assert_eq!(small.to_sorted_vec(), vec![0, 1, 3]);
-
-        // Posting compaction drops dead ids; the mask survives it.
-        let mut posting = PostingList::from_sorted(vec![1, 2, 4, 5, 7]);
-        posting.compact(&dead);
-        assert_eq!(posting.as_slice(), &[1, 4, 7]);
-        assert_eq!(dead.len(), 2);
 
         // from_sorted round-trips the dataset's dead-id slice.
         assert_eq!(Tombstones::from_sorted(&[2, 5]), dead);
@@ -1076,19 +990,6 @@ mod tests {
         assert_eq!(warm, cold);
         warm.remove(3);
         assert_ne!(warm, cold);
-    }
-
-    #[test]
-    fn posting_order_invariant_helper() {
-        let mut p = PostingList::from_sorted(vec![1, 4, 9]);
-        assert!(p.is_strictly_ascending());
-        p.append_max(12);
-        assert!(p.is_strictly_ascending());
-        let mut dead = Tombstones::new();
-        dead.mark(9);
-        p.compact(&dead);
-        assert!(p.is_strictly_ascending());
-        assert_eq!(p.as_slice(), &[1, 4, 12]);
     }
 
     #[test]

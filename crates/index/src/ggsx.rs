@@ -9,9 +9,11 @@
 //! occurrences. Query processing enumerates the query's paths the same way,
 //! walks the index trie, prunes graphs that miss a path or have fewer
 //! occurrences than the query requires, and verifies the surviving
-//! candidates with VF2.
+//! candidates with VF2. Here the enumeration *is* the walk: the query's DFS
+//! carries a trie-node cursor ([`PathTrie::walk`]), so a query path is never
+//! materialized as a label sequence.
 
-use crate::candidates::{fold_rarest_first, CandidateSet, IdSpace, Posting};
+use crate::candidates::{fold_rarest_first, ArenaFold, CandidateSet, IdSpace, Posting};
 use crate::config::GgsxConfig;
 use crate::fcache::FilterCacheCtx;
 use crate::path_trie::{PathEntry, PathTrie};
@@ -20,11 +22,11 @@ use sqbench_features::paths::for_each_path;
 use sqbench_graph::{Dataset, Graph, GraphId, Label};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One query path as the shared fold sees it: the trie payload of its label
-/// sequence, of which only the graphs recording at least `min_count`
-/// traversals are posted.
+/// One query path as the shared fold sees it: the payload of the trie node
+/// its label sequence spells, of which only the graphs recording at least
+/// `min_count` traversals are posted.
 struct TriePosting<'a> {
-    labels: &'a [Label],
+    node: usize,
     payload: &'a BTreeMap<GraphId, PathEntry>,
     min_count: u32,
 }
@@ -42,15 +44,10 @@ impl Posting for TriePosting<'_> {
             .map(|(&gid, _)| gid)
     }
 
-    /// The required occurrence count plus the label sequence.
+    /// The required occurrence count plus the node id, which names the
+    /// label sequence for the trie's lifetime (nodes are append-only).
     fn cache_key(&self) -> String {
-        use std::fmt::Write as _;
-        let mut key = String::with_capacity(8 + self.labels.len() * 4);
-        let _ = write!(key, "p{}:", self.min_count);
-        for label in self.labels {
-            let _ = write!(key, ".{label}");
-        }
-        key
+        format!("p{}:n{}", self.min_count, self.node)
     }
 }
 
@@ -104,14 +101,17 @@ impl GgsxIndex {
         &self.config
     }
 
-    /// The trie (Grapes' location pass reads start vertices off it).
-    pub(crate) fn trie(&self) -> &PathTrie {
+    /// The trie. Exposed for the trie-walk property tests and bench.
+    #[doc(hidden)]
+    pub fn trie(&self) -> &PathTrie {
         &self.trie
     }
 
     /// Collects the query's path label sequences with their occurrence
-    /// counts.
-    pub(crate) fn query_path_counts(&self, query: &Graph) -> BTreeMap<Vec<Label>, u32> {
+    /// counts — the oracle behind [`GgsxIndex::filter_reference`] that the
+    /// served walk ([`PathTrie::walk`]) is tested and benched against.
+    #[doc(hidden)]
+    pub fn query_path_counts(&self, query: &Graph) -> BTreeMap<Vec<Label>, u32> {
         let mut counts: BTreeMap<Vec<Label>, u32> = BTreeMap::new();
         for_each_path(query, self.config.max_path_edges, |labels, _| {
             *counts.entry(labels.to_vec()).or_insert(0) += 1;
@@ -138,7 +138,7 @@ impl GgsxIndex {
         }
         let mut candidates: Option<Vec<GraphId>> = None;
         for (labels, &query_count) in query_counts.iter() {
-            let Some(payload) = self.trie.lookup(labels) else {
+            let Some(payload) = self.trie.lookup(labels).and_then(|n| self.trie.payload(n)) else {
                 return Vec::new();
             };
             let matching: Vec<GraphId> = payload
@@ -181,7 +181,7 @@ impl GraphIndex for GgsxIndex {
         self.trie.purge(self.ids.tombstones().ids());
     }
 
-    /// The count-pruning trie fold: every query path is looked up once, and
+    /// The count-pruning trie fold: the query's one DFS walks the trie, and
     /// a label sequence no dataset graph has prunes everything. An empty
     /// query has no path, applies no constraint and finishes as the full
     /// set.
@@ -191,15 +191,18 @@ impl GraphIndex for GgsxIndex {
         out: &mut CandidateSet,
         ctx: Option<&mut FilterCacheCtx<'_>>,
     ) {
-        let query_counts = self.query_path_counts(query);
-        let postings = query_counts.iter().map(|(labels, &min_count)| {
-            self.trie.lookup(labels).map(|payload| TriePosting {
-                labels,
+        let universe = self.ids.universe();
+        let Some(nodes) = self.trie.walk(query, self.config.max_path_edges) else {
+            return ArenaFold::new(out, universe).prune_all();
+        };
+        let postings = nodes.into_iter().map(|(node, min_count)| {
+            self.trie.payload(node).map(|payload| TriePosting {
+                node,
                 payload,
                 min_count,
             })
         });
-        fold_rarest_first(out, self.ids.universe(), postings, ctx);
+        fold_rarest_first(out, universe, postings, ctx);
     }
 
     fn stats(&self) -> IndexStats {

@@ -19,6 +19,19 @@
 //!    paper's implementation partitions start vertices instead, which is
 //!    equivalent work at dataset scale.
 //!
+//! **The location identity.** Zero-edge traversals are indexed, so the node
+//! of a one-label sequence `[l]` posts every vertex labelled `l` as a start
+//! vertex; every other query path begins with a query label, so its
+//! traversals start at vertices carrying one. Hence, for any indexed graph,
+//! the union of start vertices over the query's paths is exactly the set of
+//! its vertices whose label occurs in the query. Verification reads that set off the candidate's own
+//! labels — one pass over its vertices — instead of a second enumeration of
+//! the query's paths and a probe of their payloads; the restriction, and so
+//! every answer, is the one the stored locations give. The start vertices
+//! stay stored all the same: they are the space the paper's Grapes-vs-GGSX
+//! index-size comparison measures (`ablation_location_info` asserts that
+//! gap), and the published method keeps them.
+//!
 //! As in the paper's methodology, verification returns after the *first*
 //! match (the original GRAPES code enumerated all matches; the authors
 //! patched it for the study, and we implement the patched semantics).
@@ -30,16 +43,62 @@ use crate::ggsx::GgsxIndex;
 use crate::{GraphIndex, IndexStats, MethodKind};
 use sqbench_graph::{algo, Dataset, Graph, GraphId, Label, VertexId};
 use sqbench_iso::{MatchState, Vf2Matcher};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The Grapes index: the GraphGrepSX path-trie store with start-vertex
 /// locations in its payloads — indexing, purging, statistics and the
 /// count-pruning filter are that store's — plus what Grapes adds: the
-/// parallel build, the location pass and component-restricted verification.
+/// parallel build and component-restricted verification.
 #[derive(Debug, Clone)]
 pub struct GrapesIndex {
     config: GrapesConfig,
     store: GgsxIndex,
+}
+
+/// What Grapes' verification needs of the query, computed once per query.
+struct QueryScope {
+    /// The query's distinct labels, ascending.
+    labels: Vec<Label>,
+    /// Component-restricted verification is only sound for connected
+    /// queries (an embedding of a connected query lies in one component).
+    connected: bool,
+}
+
+impl QueryScope {
+    fn of(query: &Graph) -> Self {
+        let mut labels = query.labels().to_vec();
+        labels.sort_unstable();
+        labels.dedup();
+        QueryScope {
+            labels,
+            connected: algo::is_connected(query),
+        }
+    }
+
+    /// The candidate's location vertices — by the location identity, those
+    /// whose label occurs in the query — when they restrict verification:
+    /// `None` for a disconnected query, or when they are none or all of the
+    /// graph's vertices (verification then runs on the whole graph).
+    fn locations(&self, graph: &Graph) -> Option<Vec<VertexId>> {
+        if !self.connected {
+            return None;
+        }
+        let located = |v: &VertexId| self.labels.binary_search(&graph.label(*v)).is_ok();
+        let count = graph.vertices().filter(located).count();
+        (count > 0 && count < graph.vertex_count())
+            .then(|| graph.vertices().filter(located).collect())
+    }
+
+    /// Verifies the query against one candidate graph, inside the connected
+    /// components its location vertices induce. `state` is the calling
+    /// worker's reusable VF2 scratch.
+    fn matches(&self, matcher: &Vf2Matcher<'_>, state: &mut MatchState, graph: &Graph) -> bool {
+        match self.locations(graph) {
+            Some(vertices) => algo::component_subgraphs(&graph.induced_subgraph(&vertices))
+                .iter()
+                .any(|component| matcher.matches_with(state, component)),
+            None => matcher.matches_with(state, graph),
+        }
+    }
 }
 
 impl GrapesIndex {
@@ -75,75 +134,11 @@ impl GrapesIndex {
         &self.config
     }
 
-    /// See [`GgsxIndex::posted_ids`].
+    /// The path-trie store, start vertices included. Exposed for the
+    /// location-identity and ingest property tests.
     #[doc(hidden)]
-    pub fn posted_ids(&self) -> BTreeSet<GraphId> {
-        self.store.posted_ids()
-    }
-
-    /// Location pass: unions the start vertices of every query path over the
-    /// surviving candidates. Picks the cheaper side per payload: a handful
-    /// of survivors probe the payload map directly; a payload smaller than
-    /// the survivor set is walked with bitset membership probes instead.
-    fn locations_for(
-        &self,
-        query_counts: &BTreeMap<Vec<Label>, u32>,
-        survivors: &CandidateSet,
-    ) -> BTreeMap<GraphId, BTreeSet<VertexId>> {
-        let mut locations: BTreeMap<GraphId, BTreeSet<VertexId>> = BTreeMap::new();
-        // `len()` is cheap here — the candidate set caches its cardinality —
-        // so no hand-hoisting into a local.
-        for labels in query_counts.keys() {
-            if let Some(payload) = self.store.trie().lookup(labels) {
-                if survivors.len() <= payload.len() {
-                    for gid in survivors.iter() {
-                        if let Some(entry) = payload.get(&gid) {
-                            locations
-                                .entry(gid)
-                                .or_default()
-                                .extend(entry.start_vertices.iter().copied());
-                        }
-                    }
-                } else {
-                    for (&gid, entry) in payload {
-                        if survivors.contains(gid) {
-                            locations
-                                .entry(gid)
-                                .or_default()
-                                .extend(entry.start_vertices.iter().copied());
-                        }
-                    }
-                }
-            }
-        }
-        locations
-    }
-
-    /// Verifies the query against one candidate graph, restricted to the
-    /// connected components induced by the candidate's location vertices.
-    /// `state` is the calling worker's reusable VF2 scratch.
-    fn verify_candidate(
-        query: &Graph,
-        matcher: &Vf2Matcher<'_>,
-        state: &mut MatchState,
-        graph: &Graph,
-        locations: Option<&BTreeSet<VertexId>>,
-    ) -> bool {
-        // Component-restricted verification is only sound for connected
-        // queries (an embedding of a connected query lies in one component).
-        if !algo::is_connected(query) {
-            return matcher.matches_with(state, graph);
-        }
-        match locations {
-            Some(vertices) if vertices.len() < graph.vertex_count() => {
-                let vertex_list: Vec<VertexId> = vertices.iter().copied().collect();
-                let restricted = graph.induced_subgraph(&vertex_list);
-                algo::component_subgraphs(&restricted)
-                    .iter()
-                    .any(|component| matcher.matches_with(state, component))
-            }
-            _ => matcher.matches_with(state, graph),
-        }
+    pub fn store(&self) -> &GgsxIndex {
+        &self.store
     }
 }
 
@@ -168,9 +163,8 @@ impl GraphIndex for GrapesIndex {
         self.store.purge_dead();
     }
 
-    /// The same count-pruning trie fold as GGSX. Location information is
-    /// *not* computed (or cached) here — `verify_set` recovers it from the
-    /// trie for the surviving candidates only.
+    /// The same count-pruning trie walk as GGSX; locations are not read
+    /// here (see the module doc's location identity).
     fn candidates_into(
         &self,
         query: &Graph,
@@ -184,24 +178,19 @@ impl GraphIndex for GrapesIndex {
         self.store.stats()
     }
 
+    /// Location-restricted verification straight off the bitset, spread
+    /// over `config.threads` workers (the paper runs Grapes with 6;
+    /// configure `threads: 1` when an outer worker pool already saturates
+    /// the machine).
     fn verify_set(
         &self,
         dataset: &Dataset,
         query: &Graph,
         candidates: &CandidateSet,
     ) -> Vec<GraphId> {
-        // Location-restricted verification straight off the bitset: the
-        // location pass probes the trie payloads for the survivors, then
-        // each candidate is verified inside the components its locations
-        // induce, spread over `config.threads` workers (the paper runs
-        // Grapes with 6; configure `threads: 1` when an outer worker pool
-        // already saturates the machine). The query's paths are enumerated
-        // a second time here (the staged trait API hands over only the
-        // candidate bits); the component restriction the locations buy far
-        // outweighs one extra walk of a small query.
-        let query_counts = self.store.query_path_counts(query);
-        let locations = self.locations_for(&query_counts, candidates);
         let matcher = Vf2Matcher::new(query);
+        let scope = QueryScope::of(query);
+        let matches = |state: &mut MatchState, graph: &Graph| scope.matches(&matcher, state, graph);
         // Per-query thread fan-out only pays for itself on large candidate
         // sets; below the threshold (the common case once filtering has
         // done its job) verification stays in place and allocation-free,
@@ -212,34 +201,10 @@ impl GraphIndex for GrapesIndex {
             let ids = candidates.to_sorted_vec();
             let threads = self.config.threads.min(ids.len() / 32).max(1);
             parallel_retain(&ids, threads, |state, gid| {
-                dataset
-                    .graph(gid)
-                    .map(|g| Self::verify_candidate(query, &matcher, state, g, locations.get(&gid)))
-                    .unwrap_or(false)
+                dataset.graph(gid).is_ok_and(|g| matches(state, g))
             })
         } else {
-            // Small candidate sets and single-thread configs verify in
-            // place off the bits, allocation-free.
-            crate::VERIFY_STATE.with(|cell| {
-                let state = &mut *cell.borrow_mut();
-                candidates
-                    .iter()
-                    .filter(|&gid| {
-                        dataset
-                            .graph(gid)
-                            .map(|g| {
-                                Self::verify_candidate(
-                                    query,
-                                    &matcher,
-                                    state,
-                                    g,
-                                    locations.get(&gid),
-                                )
-                            })
-                            .unwrap_or(false)
-                    })
-                    .collect()
-            })
+            crate::verify_blocks(dataset, query.vertex_count(), candidates.iter(), matches)
         }
     }
 }
@@ -372,24 +337,6 @@ mod tests {
             for a in &outcome.answers {
                 assert!(outcome.candidates.contains(a));
             }
-        }
-    }
-
-    #[test]
-    fn filtering_uses_location_information() {
-        let ds = dataset();
-        let idx = GrapesIndex::build(&ds, GrapesConfig::default());
-        let q = query(&[1, 2], &[(0, 1)]);
-        let mut candidates = CandidateSet::empty(0);
-        idx.filter_into(&q, &mut candidates);
-        assert!(!candidates.is_empty());
-        let counts = idx.store.query_path_counts(&q);
-        let locations = idx.locations_for(&counts, &candidates);
-        for gid in candidates.iter() {
-            let locs = locations.get(&gid).expect("candidate has locations");
-            assert!(!locs.is_empty());
-            // Locations never exceed the graph's vertex count.
-            assert!(locs.len() <= ds.graph(gid).unwrap().vertex_count());
         }
     }
 

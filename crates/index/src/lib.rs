@@ -6,7 +6,7 @@
 //! | Method | Features | Extraction | Index structure | Location info | Candidate routine ([`GraphIndex::candidates_into`]) |
 //! |---|---|---|---|---|---|
 //! | [`grapes::GrapesIndex`] | paths | exhaustive | trie | yes (start vertices) | the GGSX store's |
-//! | [`ggsx::GgsxIndex`] (GraphGrepSX) | paths | exhaustive | suffix-tree-style trie | no (counts only) | the shared fold over trie payloads |
+//! | [`ggsx::GgsxIndex`] (GraphGrepSX) | paths | exhaustive | suffix-tree-style trie | no (counts only) | the query's trie walk, then the shared fold over node payloads |
 //! | [`ctindex::CtIndex`] | trees + cycles | exhaustive | hashed bit fingerprints | no | direct id-ordered scan, bits set in place |
 //! | [`gindex::GIndex`] | subgraphs | frequent mining | feature map (prefix-tree order) | no | the shared fold over mined supports |
 //! | [`treedelta::TreeDeltaIndex`] | trees (+ on-demand cycles) | frequent mining | hash map | no | the gIndex store's over trees, then the fold over Δ supports |
@@ -99,7 +99,7 @@ pub mod treedelta;
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_iso::{MatchState, Vf2Matcher};
 
-pub use candidates::{ArenaFold, CandidateSet, IdSpace, PostingList, Tombstones};
+pub use candidates::{ArenaFold, CandidateSet, IdSpace, Tombstones};
 pub use config::{
     CtIndexConfig, GCodeConfig, GIndexConfig, GgsxConfig, GrapesConfig, MethodConfig,
     TreeDeltaConfig,
@@ -353,14 +353,14 @@ pub trait GraphIndex: Send + Sync {
 }
 
 std::thread_local! {
-    /// Per-thread VF2 scratch reused by every [`vf2_verify`] call on the
+    /// Per-thread VF2 scratch reused by every [`verify_blocks`] call on the
     /// same worker: the harness batches queries across a thread pool, and
     /// each worker's verification runs allocation-free after warm-up.
     static VERIFY_STATE: std::cell::RefCell<MatchState> =
         std::cell::RefCell::new(MatchState::new());
 }
 
-/// Candidates gathered per block by the verify helpers below. The dataset
+/// Candidates gathered per block by [`verify_blocks`]. The dataset
 /// stores graphs behind `Arc`, so touching a candidate costs one pointer
 /// hop; a gather pass reads each block candidate's vertex count in a tight
 /// dependency-free loop, so the CPU overlaps those cache misses (and the
@@ -369,51 +369,56 @@ std::thread_local! {
 /// shared-storage data model on verification-heavy workloads.
 const VERIFY_BLOCK: usize = 64;
 
-/// Runs `matcher` over `candidates` block-wise (gather `&Graph` refs and
-/// vertex counts, then match), appending surviving ids to `answers` in
-/// input order. The gathered vertex count doubles as a sound size
-/// prefilter: a graph with fewer vertices than the query cannot contain
-/// it, so the matcher is never entered for it (`matches_with` would reject
-/// it anyway).
-fn verify_blocks<'d>(
-    dataset: &'d Dataset,
-    matcher: &Vf2Matcher<'_>,
-    state: &mut MatchState,
+/// The one in-place verify loop: runs `matches` (a method's per-candidate
+/// predicate — plain VF2, or Grapes' location-restricted matching) over
+/// `candidates` block-wise (gather `&Graph` refs and vertex counts, then
+/// match) on the calling thread's VF2 scratch, and returns the surviving ids
+/// in input order. The gathered vertex count doubles as a sound size
+/// prefilter: a graph with fewer vertices than `min_vertices` (the query's)
+/// cannot contain the query, so the predicate is never entered for it.
+pub(crate) fn verify_blocks(
+    dataset: &Dataset,
     min_vertices: usize,
     candidates: impl Iterator<Item = GraphId>,
-    answers: &mut Vec<GraphId>,
-) {
-    // Two blocks, double-buffered: candidates gather into `pending` (each
-    // push issues a software prefetch of the graph's label/adjacency
-    // buffers), and once `pending` is full the *previous* block — whose
-    // prefetches were issued one round earlier and have had a full block of
-    // gather work to land — runs through the matcher. The final partial
-    // rounds flush in arrival order to keep `answers` sorted by input order.
-    let mut ready: Vec<(GraphId, &'d Graph)> = Vec::with_capacity(VERIFY_BLOCK);
-    let mut pending: Vec<(GraphId, &'d Graph)> = Vec::with_capacity(VERIFY_BLOCK);
-    let mut flush = |block: &mut Vec<(GraphId, &Graph)>, answers: &mut Vec<GraphId>| {
-        for &(gid, g) in block.iter() {
-            if matcher.matches_with(state, g) {
-                answers.push(gid);
+    matches: impl Fn(&mut MatchState, &Graph) -> bool,
+) -> Vec<GraphId> {
+    VERIFY_STATE.with(|cell| {
+        let state = &mut *cell.borrow_mut();
+        let mut answers = Vec::new();
+        // Two blocks, double-buffered: candidates gather into `pending`
+        // (each push issues a software prefetch of the graph's
+        // label/adjacency buffers), and once `pending` is full the
+        // *previous* block — whose prefetches were issued one round earlier
+        // and have had a full block of gather work to land — runs through
+        // the predicate. The final partial rounds flush in arrival order to
+        // keep `answers` sorted by input order.
+        let mut ready: Vec<(GraphId, &Graph)> = Vec::with_capacity(VERIFY_BLOCK);
+        let mut pending: Vec<(GraphId, &Graph)> = Vec::with_capacity(VERIFY_BLOCK);
+        let mut flush = |block: &mut Vec<(GraphId, &Graph)>, answers: &mut Vec<GraphId>| {
+            for &(gid, g) in block.iter() {
+                if matches(state, g) {
+                    answers.push(gid);
+                }
+            }
+            block.clear();
+        };
+        for gid in candidates {
+            let Ok(g) = dataset.graph(gid) else { continue };
+            // The load that matters: one touch of the graph header per
+            // candidate, issued back to back across the block.
+            if g.vertex_count() >= min_vertices {
+                g.prefetch_hint();
+                pending.push((gid, g));
+                if pending.len() == VERIFY_BLOCK {
+                    flush(&mut ready, &mut answers);
+                    std::mem::swap(&mut ready, &mut pending);
+                }
             }
         }
-        block.clear();
-    };
-    for gid in candidates {
-        let Ok(g) = dataset.graph(gid) else { continue };
-        // The load that matters: one touch of the graph header per
-        // candidate, issued back to back across the block.
-        if g.vertex_count() >= min_vertices {
-            g.prefetch_hint();
-            pending.push((gid, g));
-            if pending.len() == VERIFY_BLOCK {
-                flush(&mut ready, answers);
-                std::mem::swap(&mut ready, &mut pending);
-            }
-        }
-    }
-    flush(&mut ready, answers);
-    flush(&mut pending, answers);
+        flush(&mut ready, &mut answers);
+        flush(&mut pending, &mut answers);
+        answers
+    })
 }
 
 /// Shared VF2 verification helper: keeps candidates that actually contain
@@ -438,18 +443,8 @@ fn vf2_verify_ids(
     candidates: impl Iterator<Item = GraphId>,
 ) -> Vec<GraphId> {
     let matcher = Vf2Matcher::new(query);
-    VERIFY_STATE.with(|cell| {
-        let state = &mut *cell.borrow_mut();
-        let mut answers = Vec::new();
-        verify_blocks(
-            dataset,
-            &matcher,
-            state,
-            query.vertex_count(),
-            candidates,
-            &mut answers,
-        );
-        answers
+    verify_blocks(dataset, query.vertex_count(), candidates, |state, g| {
+        matcher.matches_with(state, g)
     })
 }
 

@@ -6,8 +6,15 @@
 //! records, per dataset graph, how many traversals end there and — when
 //! location information is enabled (Grapes) — the ids of the vertices at
 //! which those traversals start.
+//!
+//! Nodes are addressed by dense ids: they are only ever appended (a purge
+//! empties payloads but keeps every node), so an id stays valid for the
+//! trie's lifetime. The query side reads by id — [`PathTrie::child`],
+//! [`PathTrie::payload`] — and [`PathTrie::walk`] steps a query's traversals
+//! down the trie in the same DFS that built it.
 
-use sqbench_graph::{GraphId, Label, VertexId};
+use sqbench_features::paths::walk_paths;
+use sqbench_graph::{Graph, GraphId, Label, VertexId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-graph payload stored at a trie node.
@@ -121,18 +128,53 @@ impl PathTrie {
         self.inserted_paths += 1;
     }
 
-    /// Looks up a label sequence; returns the per-graph payload of the node
-    /// it spells, or `None` if no dataset path has this label sequence.
-    pub fn lookup(&self, labels: &[Label]) -> Option<&BTreeMap<GraphId, PathEntry>> {
-        let mut node = 0usize;
+    /// The root node: the empty label sequence.
+    const ROOT: usize = 0;
+
+    /// The node spelling `node`'s label sequence extended by `label`, if any
+    /// inserted traversal spells it.
+    pub fn child(&self, node: usize, label: Label) -> Option<usize> {
+        self.nodes[node].children.get(&label).copied()
+    }
+
+    /// The per-graph payload of `node`, or `None` when no live traversal
+    /// ends there (a prefix-only node, or one a purge emptied).
+    pub fn payload(&self, node: usize) -> Option<&BTreeMap<GraphId, PathEntry>> {
+        let graphs = &self.nodes[node].graphs;
+        (!graphs.is_empty()).then_some(graphs)
+    }
+
+    /// Looks up a label sequence; returns the node it spells, or `None` if
+    /// no dataset path has this label sequence (see [`PathTrie::payload`]).
+    pub fn lookup(&self, labels: &[Label]) -> Option<usize> {
+        let mut node = Self::ROOT;
         for &label in labels {
-            node = *self.nodes[node].children.get(&label)?;
+            node = self.child(node, label)?;
         }
-        if self.nodes[node].graphs.is_empty() {
-            None
-        } else {
-            Some(&self.nodes[node].graphs)
+        self.payload(node).map(|_| node)
+    }
+
+    /// Walks every traversal of up to `max_edges` edges of `query` down the
+    /// trie and returns the nodes they reach with the number of traversals
+    /// reaching each, ascending by node. `None` as soon as one traversal
+    /// steps off the trie or lands on an empty payload: no indexed graph has
+    /// that path, so no graph can contain the query. The pairs are exactly
+    /// `(lookup(labels), count)` over the query's distinct label sequences.
+    pub fn walk(&self, query: &Graph, max_edges: usize) -> Option<Vec<(usize, u32)>> {
+        let mut reached: Vec<usize> = Vec::new();
+        let complete = walk_paths(query, max_edges, Self::ROOT, |node, labels, _| {
+            let child = self.child(node, *labels.last()?)?;
+            self.payload(child)?;
+            reached.push(child);
+            Some(child)
+        });
+        if !complete {
+            return None;
         }
+        reached.sort_unstable();
+        let runs = reached.chunk_by(|a, b| a == b);
+        let count = |run: &[usize]| u32::try_from(run.len()).expect("traversal count fits u32");
+        Some(runs.map(|run| (run[0], count(run))).collect())
     }
 
     /// Merges another trie into this one, consuming it (used by Grapes'
@@ -220,6 +262,13 @@ impl PathTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqbench_graph::GraphBuilder;
+
+    /// The payload a label sequence spells; panics when it has none.
+    fn at<'a>(trie: &'a PathTrie, labels: &[Label]) -> &'a BTreeMap<GraphId, PathEntry> {
+        trie.payload(trie.lookup(labels).expect("indexed path"))
+            .expect("non-empty payload")
+    }
 
     #[test]
     fn insert_and_lookup() {
@@ -228,12 +277,12 @@ mod tests {
         trie.insert(&[1, 2, 3], 0, 7);
         trie.insert(&[1, 2, 3], 1, 0);
         trie.insert(&[1, 2], 0, 5);
-        let payload = trie.lookup(&[1, 2, 3]).unwrap();
+        let payload = at(&trie, &[1, 2, 3]);
         assert_eq!(payload.len(), 2);
         assert_eq!(payload[&0].count, 2);
         assert_eq!(payload[&0].start_vertices, vec![5, 7]);
         assert_eq!(payload[&1].count, 1);
-        assert_eq!(trie.lookup(&[1, 2]).unwrap()[&0].count, 1);
+        assert_eq!(at(&trie, &[1, 2])[&0].count, 1);
         assert!(trie.lookup(&[9]).is_none());
         assert!(trie.lookup(&[1, 2, 3, 4]).is_none());
         assert_eq!(trie.inserted_paths(), 4);
@@ -254,7 +303,7 @@ mod tests {
     fn locations_disabled_keeps_counts_only() {
         let mut trie = PathTrie::new(false);
         trie.insert(&[1], 3, 42);
-        let payload = trie.lookup(&[1]).unwrap();
+        let payload = at(&trie, &[1]);
         assert_eq!(payload[&3].count, 1);
         assert!(payload[&3].start_vertices.is_empty());
         assert!(!trie.stores_locations());
@@ -265,7 +314,7 @@ mod tests {
         let mut trie = PathTrie::new(true);
         trie.insert(&[1, 1], 0, 2);
         trie.insert(&[1, 1], 0, 2);
-        let payload = trie.lookup(&[1, 1]).unwrap();
+        let payload = at(&trie, &[1, 1]);
         assert_eq!(payload[&0].count, 2);
         assert_eq!(payload[&0].start_vertices, vec![2]);
     }
@@ -279,10 +328,10 @@ mod tests {
         b.insert(&[1, 2], 0, 4);
         b.insert(&[2, 2], 1, 0);
         a.merge(b);
-        assert_eq!(a.lookup(&[1, 2]).unwrap()[&0].count, 2);
-        assert_eq!(a.lookup(&[1, 2]).unwrap()[&0].start_vertices, vec![0, 4]);
-        assert_eq!(a.lookup(&[2, 2]).unwrap()[&1].count, 1);
-        assert_eq!(a.lookup(&[1, 3]).unwrap()[&0].count, 1);
+        assert_eq!(at(&a, &[1, 2])[&0].count, 2);
+        assert_eq!(at(&a, &[1, 2])[&0].start_vertices, vec![0, 4]);
+        assert_eq!(at(&a, &[2, 2])[&1].count, 1);
+        assert_eq!(at(&a, &[1, 3])[&0].count, 1);
         assert_eq!(a.inserted_paths(), 4);
     }
 
@@ -296,17 +345,17 @@ mod tests {
         trie.insert(&[1, 3], 2, 1);
         let nodes = trie.node_count();
         trie.purge(&[1]);
-        assert_eq!(trie.lookup(&[1, 2]).unwrap().len(), 1);
-        assert!(trie.lookup(&[1, 2]).unwrap().contains_key(&0));
+        assert_eq!(at(&trie, &[1, 2]).len(), 1);
+        assert!(at(&trie, &[1, 2]).contains_key(&0));
         assert!(trie.lookup(&[2, 2]).is_none(), "graph 1 was its only owner");
-        assert_eq!(trie.lookup(&[1, 3]).unwrap()[&2].count, 1);
+        assert_eq!(at(&trie, &[1, 3])[&2].count, 1);
         assert_eq!(trie.inserted_paths(), 2, "graph 1's traversals subtracted");
         assert_eq!(trie.node_count(), nodes, "structure survives the purge");
         assert_eq!(trie.graph_ids(), BTreeSet::from([0, 2]));
         // Re-inserting after a purge reuses the surviving nodes.
         trie.insert(&[2, 2], 3, 7);
         assert_eq!(trie.node_count(), nodes);
-        assert_eq!(trie.lookup(&[2, 2]).unwrap()[&3].count, 1);
+        assert_eq!(at(&trie, &[2, 2])[&3].count, 1);
     }
 
     #[test]
@@ -325,5 +374,42 @@ mod tests {
         assert!(trie.lookup(&[]).is_none());
         trie.insert(&[], 0, 0);
         assert!(trie.lookup(&[]).is_some());
+    }
+
+    /// The walk reaches the node `lookup` names for every query label
+    /// sequence, counting one per traversal, and gives up on the first
+    /// traversal the trie does not hold — including one a purge emptied.
+    #[test]
+    fn walk_reaches_the_lookup_nodes_with_traversal_counts() {
+        let indexed = GraphBuilder::new("g")
+            .vertices(&[1, 2, 1, 3])
+            .edges(&[(0, 1), (1, 2), (2, 3)])
+            .build()
+            .unwrap();
+        let mut trie = PathTrie::new(false);
+        sqbench_features::paths::for_each_path(&indexed, 2, |labels, start| {
+            trie.insert(labels, 0, start);
+        });
+        let query = GraphBuilder::new("q")
+            .vertices(&[1, 2, 1])
+            .edges(&[(0, 1), (1, 2)])
+            .build()
+            .unwrap();
+        let node = |labels: &[Label]| trie.lookup(labels).unwrap();
+        let mut expected = vec![
+            (node(&[1]), 2),
+            (node(&[2]), 1),
+            (node(&[1, 2]), 2),
+            (node(&[2, 1]), 2),
+            (node(&[1, 2, 1]), 2),
+        ];
+        expected.sort_unstable();
+        assert_eq!(trie.walk(&query, 2), Some(expected));
+        assert_eq!(trie.walk(&Graph::new("empty"), 2), Some(vec![]));
+
+        let off_trie = GraphBuilder::new("q").vertices(&[2, 2]).edge(0, 1);
+        assert_eq!(trie.walk(&off_trie.build().unwrap(), 2), None);
+        trie.purge(&[0]);
+        assert_eq!(trie.walk(&query, 2), None, "purged payloads are empty");
     }
 }

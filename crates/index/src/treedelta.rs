@@ -17,7 +17,7 @@
 //! grows — and its filtering improves — as the workload exercises cyclic
 //! queries.
 
-use crate::candidates::{narrow_rarest_first, CandidateSet, IdSpace, PostingList, SlicePosting};
+use crate::candidates::{narrow_rarest_first, CandidateSet, IdSpace, SlicePosting};
 use crate::config::{GIndexConfig, TreeDeltaConfig};
 use crate::fcache::FilterCacheCtx;
 use crate::gindex::GIndex;
@@ -32,11 +32,12 @@ use std::sync::RwLock;
 
 /// One learned Δ feature: the cycle fragment is kept alongside its support
 /// so online inserts can test new graphs for containment and keep the
-/// support covering the whole dataset.
+/// support covering the whole dataset. The support is a strictly ascending
+/// id list, like the mined stores' supports.
 #[derive(Debug, Clone)]
 struct DeltaFeature {
     fragment: Graph,
-    support: PostingList,
+    support: Vec<GraphId>,
 }
 
 /// The Tree+Δ index.
@@ -98,7 +99,9 @@ impl TreeDeltaIndex {
     pub fn postings_strictly_ascending(&self) -> bool {
         let delta = self.delta_features.read().expect("delta lock poisoned");
         self.trees.postings_strictly_ascending()
-            && delta.values().all(|f| f.support.is_strictly_ascending())
+            && delta
+                .values()
+                .all(|f| f.support.windows(2).all(|w| w[0] < w[1]))
     }
 
     /// The seed's `Vec`-per-feature filtering (trees, then learned Δ
@@ -113,7 +116,7 @@ impl TreeDeltaIndex {
                 break;
             }
             if let Some(feature) = delta.get(&cycle.key) {
-                candidates = crate::intersect_sorted(&candidates, feature.support.as_slice());
+                candidates = crate::intersect_sorted(&candidates, &feature.support);
             }
         }
         candidates
@@ -184,13 +187,7 @@ impl TreeDeltaIndex {
                 self.delta_features
                     .write()
                     .expect("delta lock poisoned")
-                    .insert(
-                        cycle.key.clone(),
-                        DeltaFeature {
-                            fragment,
-                            support: PostingList::from_sorted(support),
-                        },
-                    );
+                    .insert(cycle.key.clone(), DeltaFeature { fragment, support });
                 narrowed = contained_in_narrowed;
                 if narrowed.is_empty() {
                     break;
@@ -223,7 +220,9 @@ impl GraphIndex for TreeDeltaIndex {
         for feature in delta.values_mut() {
             let matcher = Vf2Matcher::new(&feature.fragment);
             if matcher.matches_with(&mut state, graph) {
-                feature.support.append_max(gid);
+                // gid is the largest id ever issued, so the push keeps the
+                // support sorted.
+                feature.support.push(gid);
             }
         }
     }
@@ -233,7 +232,7 @@ impl GraphIndex for TreeDeltaIndex {
         let dead = self.trees.id_space().tombstones();
         let mut delta = self.delta_features.write().expect("delta lock poisoned");
         for feature in delta.values_mut() {
-            feature.support.compact(dead);
+            feature.support.retain(|&g| !dead.contains(g));
         }
     }
 
@@ -264,7 +263,7 @@ impl GraphIndex for TreeDeltaIndex {
             .map(|(key, feature)| SlicePosting {
                 tag: 'd',
                 key: key.as_str(),
-                ids: feature.support.as_slice(),
+                ids: &feature.support,
             })
             .collect();
         narrow_rarest_first(out, learned, ctx);
@@ -275,7 +274,12 @@ impl GraphIndex for TreeDeltaIndex {
         let delta = self.delta_features.read().expect("delta lock poisoned");
         let delta_bytes: usize = delta
             .iter()
-            .map(|(k, v)| k.len_bytes() + v.support.memory_bytes() + v.fragment.memory_bytes())
+            .map(|(k, v)| {
+                k.len_bytes()
+                    + std::mem::size_of_val(&v.support)
+                    + v.support.capacity() * std::mem::size_of::<GraphId>()
+                    + v.fragment.memory_bytes()
+            })
             .sum();
         IndexStats {
             distinct_features: trees.distinct_features + delta.len(),

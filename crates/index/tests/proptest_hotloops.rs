@@ -172,7 +172,7 @@ proptest! {
             // Past the threshold every remove purges, and an insert posts
             // only its own fresh id: the tries then hold no dead id at all.
             let purged = dead.should_compact(live.len());
-            for (name, posted) in [("Grapes", grapes.posted_ids()), ("GGSX", ggsx.posted_ids())] {
+            for (name, posted) in [("Grapes", grapes.store().posted_ids()), ("GGSX", ggsx.posted_ids())] {
                 for (id, slot) in live.iter().enumerate() {
                     match slot {
                         Some(g) if g.vertex_count() > 0 => {

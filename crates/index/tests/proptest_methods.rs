@@ -4,18 +4,20 @@
 //! answers equal exhaustive VF2, candidates a superset of them — is the
 //! root `config_matrix` oracle, through every entry point. This suite pins
 //! what sits under it: the bitset engine against the sorted-`Vec`
-//! reference, the borrowed dirty-arena contract, and the one posting fold
-//! on both of its arms.
+//! reference, the borrowed dirty-arena contract, the one posting fold on
+//! both of its arms, and the two facts the path methods' query side rests
+//! on: the trie walk is the per-label-sequence lookup, and Grapes' stored
+//! locations are the candidate's query-labelled vertices.
 
 use proptest::prelude::*;
-use sqbench_generator::{GraphGen, GraphGenConfig, QueryGen};
-use sqbench_graph::{Dataset, Graph, GraphId};
+use sqbench_generator::{label_clustered, GraphGen, GraphGenConfig, QueryGen, RealDataset};
+use sqbench_graph::{Dataset, Graph, GraphBuilder, GraphId, VertexId};
 use sqbench_index::{
-    build_index, ggsx::GgsxIndex, gindex::GIndex, intersect_sorted, treedelta::TreeDeltaIndex,
-    ArenaFold, CandidateSet, FeatureCacheStore, FilterCacheCtx, GraphIndex, MethodConfig,
-    MethodKind,
+    build_index, exhaustive_answers, ggsx::GgsxIndex, gindex::GIndex, grapes::GrapesIndex,
+    intersect_sorted, treedelta::TreeDeltaIndex, ArenaFold, CandidateSet, FeatureCacheStore,
+    FilterCacheCtx, GraphIndex, MethodConfig, MethodKind,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Unbounded feature-bitset store: a cache that never evicts, so a second
@@ -51,6 +53,87 @@ fn dataset_from_seed(seed: u64, graphs: usize, nodes: usize, labels: u32) -> Dat
             .with_seed(seed),
     )
     .generate()
+}
+
+/// The three dataset shapes the path-walk identities run on, 48 graphs
+/// each: AIDS-like molecules, two-label GraphGen graphs, and four
+/// label-disjoint families (where most graphs carry no label of a query
+/// drawn from another family).
+fn identity_datasets(seed: u64) -> [(&'static str, Dataset); 3] {
+    let generated = GraphGenConfig::default()
+        .with_graph_count(48)
+        .with_avg_nodes(10)
+        .with_avg_density(0.15)
+        .with_seed(seed);
+    [
+        (
+            "AIDS-like",
+            RealDataset::Aids.generate_with(48.0 / 40_000.0, 0.4, seed),
+        ),
+        (
+            "2-label",
+            GraphGen::new(generated.clone().with_label_count(2)).generate(),
+        ),
+        (
+            "label-clustered",
+            label_clustered(&generated.with_label_count(3), 4),
+        ),
+    ]
+}
+
+fn graph(labels: &[u32], edges: &[(usize, usize)]) -> Graph {
+    GraphBuilder::new("g")
+        .vertices(labels)
+        .edges(edges)
+        .build()
+        .unwrap()
+}
+
+/// Identity (i): the trie walk is the oracle's lookups — one
+/// `(lookup(labels), count)` pair per distinct query label sequence — and
+/// `None` exactly when some lookup is.
+fn assert_walk_is_the_lookups(store: &GgsxIndex, query: &Graph, what: &str) {
+    let trie = store.trie();
+    let looked_up: Option<Vec<(usize, u32)>> = store
+        .query_path_counts(query)
+        .iter()
+        .map(|(labels, &count)| Some((trie.lookup(labels)?, count)))
+        .collect();
+    let looked_up = looked_up.map(|mut pairs| {
+        pairs.sort_unstable();
+        pairs
+    });
+    let walked = trie.walk(query, store.config().max_path_edges);
+    assert_eq!(walked, looked_up, "{what}: walk vs lookups");
+}
+
+/// Identity (ii): for every live graph, the start vertices Grapes stores
+/// under the query's label sequences are exactly its vertices whose label
+/// occurs in the query.
+fn assert_locations_are_query_labelled(
+    grapes: &GrapesIndex,
+    ds: &Dataset,
+    query: &Graph,
+    what: &str,
+) {
+    let trie = grapes.store().trie();
+    let counts = grapes.store().query_path_counts(query);
+    let payloads: Vec<_> = counts
+        .keys()
+        .filter_map(|labels| trie.payload(trie.lookup(labels)?))
+        .collect();
+    for (gid, g) in ds.iter_live() {
+        let stored: BTreeSet<VertexId> = payloads
+            .iter()
+            .filter_map(|payload| payload.get(&gid))
+            .flat_map(|entry| entry.start_vertices.iter().copied())
+            .collect();
+        let labelled: BTreeSet<VertexId> = g
+            .vertices()
+            .filter(|&v| query.labels().contains(&g.label(v)))
+            .collect();
+        assert_eq!(stored, labelled, "{what}: locations of graph {gid}");
+    }
 }
 
 /// Strategy: a sorted, deduplicated id list over `0..universe`.
@@ -212,6 +295,66 @@ proptest! {
                 both_arms(&treedelta, &MapStore::default()),
                 treedelta.filter_reference(query)
             );
+        }
+    }
+
+    /// The path methods' query side: GGSX's and Grapes' trie walks equal
+    /// the per-sequence lookups (i), Grapes' stored locations equal the
+    /// query-labelled vertices of every live graph (ii), and Grapes answers
+    /// what exhaustive VF2 answers — on the freshly built indexes, and again
+    /// after inserts plus removes that cross the compaction threshold (so
+    /// purged, emptied payloads are walked too). Named cases: the empty
+    /// query (matches every live graph), a single vertex, a label no graph
+    /// has, a disconnected query, and an inserted graph carrying no query
+    /// label.
+    #[test]
+    fn path_walk_and_location_identities_hold_through_compaction(seed in 0u64..300) {
+        let config = MethodConfig::fast();
+        let fresh = identity_datasets(seed ^ 0x5eed);
+        for ((name, mut ds), (_, more)) in identity_datasets(seed).into_iter().zip(fresh) {
+            let mut grapes = GrapesIndex::build(&ds, config.grapes.clone());
+            let mut ggsx = GgsxIndex::build(&ds, config.ggsx.clone());
+            let first = ds.graph(0).unwrap();
+            let (a, b) = (first.label(0), first.label(first.vertex_count() - 1));
+            let mut queries = vec![
+                ("empty", Graph::new("empty")),
+                ("single vertex", graph(&[a], &[])),
+                ("unknown label", graph(&[a, 9_999], &[(0, 1)])),
+                ("disconnected", graph(&[a, b], &[])),
+            ];
+            for (query, _) in QueryGen::new(seed ^ 0x1d3a).generate(&ds, 3, 3).iter() {
+                queries.push(("extracted", query.clone()));
+            }
+            let check = |stage: &str, ds: &Dataset, grapes: &GrapesIndex, ggsx: &GgsxIndex| {
+                for (case, query) in &queries {
+                    let what = format!("{name}, {stage}, {case}");
+                    assert_walk_is_the_lookups(grapes.store(), query, &what);
+                    assert_walk_is_the_lookups(ggsx, query, &what);
+                    assert_locations_are_query_labelled(grapes, ds, query, &what);
+                    let expected = exhaustive_answers(ds, query);
+                    assert_eq!(grapes.query(ds, query).answers, expected, "{what}");
+                    // Unfiltered, so verification also meets graphs with no
+                    // query-labelled vertex (the foreign one, other families).
+                    let all = CandidateSet::full(ds.len());
+                    assert_eq!(grapes.verify_set(ds, query, &all), expected, "{what}: unfiltered");
+                }
+                let live: Vec<GraphId> = ds.iter_live().map(|(gid, _)| gid).collect();
+                let empty = grapes.query(ds, &Graph::new("empty"));
+                assert_eq!(empty.answers, live, "{name}, {stage}: the empty query");
+            };
+            check("built", &ds, &grapes, &ggsx);
+
+            let foreign = graph(&[7_000, 7_001], &[(0, 1)]);
+            for g in more.graphs()[..7].iter().map(|g| (**g).clone()).chain([foreign]) {
+                ds.push(g.clone());
+                grapes.insert(&g);
+                ggsx.insert(&g);
+            }
+            // 33 dead of 56 ids: past both halves of the compaction policy.
+            for victim in (0..33).map(|i| i * 37 % 48) {
+                prop_assert!(ds.remove(victim) && grapes.remove(victim) && ggsx.remove(victim));
+            }
+            check("compacted", &ds, &grapes, &ggsx);
         }
     }
 }
