@@ -6,10 +6,11 @@
 //!
 //! * `oneshot`  — the pre-service loop: one `index.query()` per query,
 //!   fresh candidate allocations each time;
-//! * `workers1` — the service's single-worker pipeline (arena reuse, no
-//!   per-query candidate `Vec`);
-//! * `workers4` — the pipelined 4-worker pool (filter of one query
-//!   overlapping verification of another, work stealing between workers).
+//! * `workers1` — the service's single-worker pool (one reused candidate
+//!   set, no per-query candidate `Vec`);
+//! * `workers4` — the 4-worker claim-to-completion pool (each worker claims
+//!   the next query from one atomic cursor and filters and verifies it
+//!   before claiming again).
 //!
 //! Before timing, the bench asserts all three modes return identical
 //! per-query results. The speedup summary printed at the end (and recorded

@@ -15,8 +15,8 @@
 //!   workload against it and enforces the experiment time budget (the
 //!   paper's 8-hour limit, scaled down);
 //! * [`service`] — the long-lived query service the runner routes
-//!   workloads through: a pipelined filter → verify worker pool with
-//!   per-worker candidate arenas and work stealing, plus the sharded
+//!   workloads through: a claim-to-completion filter → verify worker pool
+//!   with one reusable candidate set per worker, plus the sharded
 //!   service (dataset partitioner, per-shard pools, merge stage) and the
 //!   open admission queue (`submit`/`drain` with backpressure and
 //!   per-query deadlines);

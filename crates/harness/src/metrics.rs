@@ -188,9 +188,12 @@ pub struct StageTotals {
     pub verify_s: f64,
     /// Total graphs pruned by filtering: Σ (universe − |candidates|).
     pub candidates_pruned: u64,
-    /// End-to-end per-query latency distribution (admission to completion)
-    /// over the executed queries, for tail percentiles. Populated by the
-    /// serving paths via [`StageTotals::observe_latency`]; empty histograms
+    /// Per-query latency distribution over the executed queries, for tail
+    /// percentiles. The unsharded pool observes batch start to the query's
+    /// finish (its queue wait to the claim, then its filter and verify on
+    /// the claiming worker); the sharded merge observes submission to the
+    /// moment it finalized the query; a memo hit observes its probe.
+    /// Populated via [`StageTotals::observe_latency`]; empty histograms
     /// report 0 for every percentile.
     pub latency: LatencyHistogram,
 }
@@ -298,7 +301,7 @@ impl CacheCounters {
 
 /// All measurements collected for one method at one experiment point — the
 /// quantities plotted in panels (a)–(d) of each figure in the paper, plus
-/// the per-stage breakdown the pipelined query service records.
+/// the per-stage breakdown the query service records.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MethodMetrics {
     /// Method name (as in the paper's legends).

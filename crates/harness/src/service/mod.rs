@@ -1,5 +1,5 @@
-//! Long-lived batch query service: a pipelined filter → verify worker pool
-//! over one loaded index.
+//! Long-lived batch query service: a claim-to-completion worker pool over
+//! one loaded index.
 //!
 //! The paper measures one query at a time; a reproduction that wants to
 //! expose how filtering and verification costs trade off *at scale* has to
@@ -10,68 +10,61 @@
 //! # Architecture
 //!
 //! ```text
-//!             ┌────────────────────── QueryService ─────────────────────┐
-//!  batch ───► │ BatchQueue (injector, atomic claim = work stealing)     │
-//!             │      │ claim                                            │
-//!             │      ▼                                                  │
-//!             │ ┌─ worker 0 ─┐  ┌─ worker 1 ─┐ … ┌─ worker N ─┐         │
-//!             │ │ filter_into│  │ filter_into│   │ filter_into│  stage 1│
-//!             │ │  (arena)   │  │  (arena)   │   │  (arena)   │         │
-//!             │ │     ▼      │  │     ▼      │   │     ▼      │         │
-//!             │ │ VerifyJob ─┼─► StealDeque per worker ◄──────┼─ steal  │
-//!             │ │     ▼      │  │     ▼      │   │     ▼      │         │
-//!             │ │ verify_set │  │ verify_set │   │ verify_set │  stage 2│
-//!             │ └────────────┘  └────────────┘   └────────────┘         │
-//!             │      ▼ per-query records + stage timings                │
-//!             └──────┴──► BatchReport (records, StageTotals, wall time) │
-//!             └─────────────────────────────────────────────────────────┘
+//!             ┌──────────────────── QueryService ────────────────────┐
+//!  batch ───► │ atomic cursor (claim the next unstarted query)       │
+//!             │      │ claim                                         │
+//!             │      ▼                                               │
+//!             │ ┌─ worker 0 ──┐  ┌─ worker 1 ──┐ … ┌─ worker N ──┐   │
+//!             │ │ deadline?   │  │ deadline?   │   │ deadline?   │   │
+//!             │ │ filter_into │  │ filter_into │   │ filter_into │   │
+//!             │ │  (its set)  │  │  (its set)  │   │  (its set)  │   │
+//!             │ │ verify_set  │  │ verify_set  │   │ verify_set  │   │
+//!             │ │ record, and │  │ record, and │   │ record, and │   │
+//!             │ │ claim again │  │ claim again │   │ claim again │   │
+//!             │ └─────────────┘  └─────────────┘   └─────────────┘   │
+//!             │      ▼ per-query records + stage timings             │
+//!             └──────┴──► BatchReport (records, StageTotals, wall) ──┘
 //! ```
 //!
-//! * **Request queue** ([`queue`]) — the batch is an indexed slice; workers
-//!   claim the next unstarted query with an atomic fetch-add. Claiming is
-//!   the load-balancing mechanism: whichever worker is free takes the next
-//!   query, so skewed per-query costs never idle the pool.
-//! * **Worker pool** ([`pool`]) — workers are scoped threads (they borrow
-//!   the index and dataset; no `Arc` plumbing), but each worker's
-//!   [`pool::WorkerArena`] is owned by the service and **persists across
-//!   batches**: the filter stage narrows a recycled [`CandidateSet`] in
-//!   place via [`GraphIndex::filter_into`] and never materializes a
-//!   `Vec<GraphId>` of candidates.
-//! * **Pipeline stages** ([`stages`]) — filtering produces a
-//!   [`stages::VerifyJob`] carrying the arena; verification runs
-//!   [`GraphIndex::verify_set`] straight off the bits and recycles the
-//!   arena. In a multi-worker pool each worker *filters ahead* by up to two
-//!   queries before verifying, parking the filtered jobs in its
-//!   [`queue::StealDeque`] — while it filters (or grinds through a long
-//!   verification) those parked jobs are stealable by idle workers, which
-//!   is what lets the filter of one query overlap the verification of
-//!   another across the pool.
+//! * **Worker pool** (`pool.rs`) — the batch is an indexed slice; a worker
+//!   claims the next unstarted query with an atomic fetch-add and runs it
+//!   to completion before claiming again. Claiming is the load-balancing
+//!   mechanism: whichever worker is free takes the next query, so skewed
+//!   per-query costs never idle the pool. Workers are scoped threads (they
+//!   borrow the index and dataset; no `Arc` plumbing), and the scoped
+//!   join is the batch's only barrier.
+//! * **One query's execution** ([`stages`]) — the filter narrows the
+//!   worker's [`CandidateSet`] in place via [`GraphIndex::filter_into`]
+//!   and never materializes a `Vec<GraphId>` of candidates; verification
+//!   then runs [`GraphIndex::verify_set`] straight off the same bits.
 //!
 //! # Arena ownership
 //!
-//! A [`CandidateSet`] arena is owned by exactly one [`pool::WorkerArena`]
-//! at rest and by exactly one [`stages::VerifyJob`] in flight. The verify
-//! stage returns the set to the pool of whichever worker ran it (stealing
-//! migrates sets between workers); the filter-ahead bound caps in-flight
-//! jobs at two per worker, so the fleet-wide set count stays a small
-//! multiple of the pool size and reuse is total after warm-up.
+//! Each worker owns exactly one [`CandidateSet`]. The service (or a shard's
+//! core) keeps the sets between batches and lends one to each worker for
+//! the batch; every query a worker claims is filtered into its set and
+//! verified off it before the next claim. A batch of any size therefore
+//! uses exactly one set per worker, and reuse is total after the first
+//! batch (or after [`QueryService::prewarm`]). A query that panics midway
+//! leaves its set half-written; the next `filter_into` re-targets it.
 //!
 //! # Determinism
 //!
 //! With one worker the service claims, filters and verifies queries in
 //! batch order — bit-for-bit the sequential runner semantics, including the
-//! order-dependent feature learning of Tree+Δ. With several workers answer
-//! sets are still exact per query (verification is exact regardless of
-//! filtering power); only order-sensitive *candidate* trajectories of
-//! learning methods may differ.
+//! order-dependent feature learning of Tree+Δ. With several workers each
+//! query still runs start to finish on one worker and answer sets are exact
+//! per query (verification is exact regardless of filtering power); only
+//! the interleaving of queries across workers varies, and with it the
+//! order-sensitive *candidate* trajectories of learning methods.
 //!
 //! # Beyond one index and one closed batch
 //!
 //! Four sibling modules generalize this serving layer:
 //!
 //! * [`sharded`] — partitions the dataset across N cooperating shard pools
-//!   (each with its own index and arenas), fans every wave out across the
-//!   shards concurrently and merges the per-shard match sets back into
+//!   (each with its own index and worker sets), fans every wave out across
+//!   the shards concurrently and merges the per-shard match sets back into
 //!   global answers;
 //! * [`synopsis`] — the selective shard-routing tier: per-shard label /
 //!   degree / size synopses and the [`Router`] that lets a wave skip
@@ -109,8 +102,7 @@ pub mod admission;
 pub mod cache;
 pub mod fault;
 pub mod options;
-pub mod pool;
-pub mod queue;
+mod pool;
 pub mod sharded;
 pub mod stages;
 pub mod synopsis;
@@ -128,9 +120,9 @@ pub use synopsis::{Router, RoutingMode};
 
 use crate::metrics::{counted_false_positive_ratio, CacheCounters, StageTotals, Stopwatch};
 use cache::CacheLevels;
-use pool::{worker_loop, BatchShared, WaveFaults, WorkerArena};
+pub(crate) use pool::run_batch_on;
 use sqbench_graph::{Dataset, Graph};
-use sqbench_index::{CandidateSet, FeatureCacheStore, GraphIndex};
+use sqbench_index::{CandidateSet, GraphIndex};
 use std::time::Instant;
 
 /// `true` when `deadline` has passed at `now`. Strict `>` — a query exactly
@@ -143,12 +135,13 @@ pub(crate) fn past(deadline: Option<Instant>, now: Instant) -> bool {
 }
 
 /// The batch query service. Construct once per loaded index, then feed it
-/// any number of batches; worker arenas — and, when enabled, both cache
-/// levels — persist between batches.
+/// any number of batches; the workers' candidate sets — and, when enabled,
+/// both cache levels — persist between batches.
 pub struct QueryService<'a> {
     index: &'a dyn GraphIndex,
     dataset: &'a Dataset,
-    arenas: Vec<WorkerArena>,
+    /// One candidate set per worker.
+    sets: Vec<CandidateSet>,
     /// The feature cache shared by the pool's workers and the whole-answer
     /// memo probed at admission (both absent by default).
     caches: CacheLevels,
@@ -234,8 +227,8 @@ impl<'a> QueryService<'a> {
         QueryService {
             index,
             dataset,
-            arenas: (0..opts.workers.max(1))
-                .map(|_| WorkerArena::default())
+            sets: (0..opts.workers.max(1))
+                .map(|_| CandidateSet::empty(0))
                 .collect(),
             caches: CacheLevels::new(opts.cache),
         }
@@ -243,13 +236,7 @@ impl<'a> QueryService<'a> {
 
     /// The configured worker count.
     pub fn worker_count(&self) -> usize {
-        self.arenas.len()
-    }
-
-    /// Candidate sets currently pooled across all worker arenas
-    /// (diagnostics: after a batch this is the in-flight high-water mark).
-    pub fn pooled_sets(&self) -> usize {
-        self.arenas.iter().map(WorkerArena::pooled_sets).sum()
+        self.sets.len()
     }
 
     /// Cumulative hit/miss/eviction counters of both cache levels (all
@@ -270,7 +257,7 @@ impl<'a> QueryService<'a> {
         self.caches.invalidate_all();
     }
 
-    /// Runs one batch through the pipeline. Queries claimed after
+    /// Runs one batch on the worker pool. Queries claimed after
     /// `deadline` are skipped (recorded as `None`), mirroring the
     /// experiment budget semantics; `None` means no deadline.
     ///
@@ -284,10 +271,9 @@ impl<'a> QueryService<'a> {
         let mut sub = run_batch_on(
             self.index,
             self.dataset,
-            &mut self.arenas,
+            &mut self.sets,
             &misses,
-            deadline,
-            None,
+            |_| deadline,
             None,
             self.caches.feature_store(),
         );
@@ -332,99 +318,12 @@ impl<'a> QueryService<'a> {
         }
     }
 
-    /// Warm-up helper: pre-sizes every worker's arena pool with one set for
-    /// the index's universe, so even a batch's first queries filter into
-    /// recycled memory.
+    /// Warm-up helper: sizes every worker's candidate set to the index's
+    /// universe, so even a batch's first queries filter into recycled
+    /// memory.
     pub fn prewarm(&mut self) {
         let universe = self.index.universe();
-        for arena in &mut self.arenas {
-            if arena.pooled_sets() == 0 {
-                arena.recycle(CandidateSet::empty(universe));
-            }
-        }
-    }
-}
-
-/// Runs one batch of queries through the pipelined worker pool, drawing the
-/// per-worker candidate arenas from `arenas` (which persist across calls —
-/// this is the body of [`QueryService::run_batch`], factored out so callers
-/// that *own* their index and dataset, like the sharded service's per-shard
-/// pools, can reuse it without the service's borrowed-lifetime plumbing).
-///
-/// `deadline` is the batch-wide cutoff; `per_query` optionally attaches an
-/// individual deadline to each query (indexed like `queries`); `faults`
-/// optionally arms the fault-injection hooks (tickets indexed like
-/// `queries`); `cache` optionally shares a cross-query feature-bitset
-/// store with every worker's filter stage (see
-/// [`sqbench_index::GraphIndex::filter_into_cached`]). Workers spawn up to
-/// `arenas.len()` strong, clamped to the batch size.
-#[allow(clippy::too_many_arguments)] // internal fan-in point: every shard caller threads the same set
-pub(crate) fn run_batch_on(
-    index: &dyn GraphIndex,
-    dataset: &Dataset,
-    arenas: &mut [WorkerArena],
-    queries: &[&Graph],
-    deadline: Option<Instant>,
-    per_query: Option<&[Option<Instant>]>,
-    faults: Option<WaveFaults<'_>>,
-    cache: Option<&dyn FeatureCacheStore>,
-) -> BatchReport {
-    let workers = arenas.len().min(queries.len()).max(1);
-    let shared = BatchShared::with_deadlines(queries, workers, deadline, per_query, faults, cache);
-    let watch = Stopwatch::start();
-    let completed: Vec<Vec<(usize, QueryOutcome, Option<QueryRecord>)>> = if workers == 1 {
-        // In-place fast path: no thread spawn, strict batch order.
-        vec![worker_loop(0, &shared, index, dataset, &mut arenas[0])]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = arenas
-                .iter_mut()
-                .take(workers)
-                .enumerate()
-                .map(|(w, arena)| {
-                    let shared = &shared;
-                    scope.spawn(move || worker_loop(w, shared, index, dataset, arena))
-                })
-                .collect();
-            // Per-query panics are caught inside `worker_loop`, so a join
-            // error means the worker died in pool infrastructure. Don't
-            // take the whole batch down with it: the queries that worker
-            // claimed but never reported keep their `Failed` default
-            // below, and the sharded layer's retry can still recover them.
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        })
-    };
-    let wall_s = watch.elapsed_secs();
-
-    let mut records: Vec<Option<QueryRecord>> = Vec::new();
-    records.resize_with(queries.len(), || None);
-    // Failed-by-default: a query nobody reported (its worker died) must
-    // still carry an explicit outcome.
-    let mut outcomes = vec![QueryOutcome::Failed; queries.len()];
-    let mut totals = StageTotals::default();
-    for (idx, outcome, record) in completed.into_iter().flatten() {
-        if let Some(r) = &record {
-            totals.add_query(
-                r.queue_wait_s,
-                r.cache_probe_s,
-                r.filter_s,
-                r.verify_s,
-                r.candidates_pruned,
-            );
-            // Unsharded latency = the query's summed stage walk (it runs
-            // on one worker start to finish; the sharded merge overrides
-            // this with true submission-to-finalize time).
-            totals.observe_latency(r.queue_wait_s + r.cache_probe_s + r.filter_s + r.verify_s);
-        }
-        records[idx] = record;
-        outcomes[idx] = outcome;
-    }
-    BatchReport {
-        records,
-        outcomes,
-        totals,
-        wall_s,
-        workers,
+        self.sets.fill_with(|| CandidateSet::empty(universe));
     }
 }
 
@@ -499,36 +398,90 @@ mod tests {
     }
 
     #[test]
-    fn arenas_persist_and_are_recycled_across_batches() {
+    fn each_worker_keeps_one_set_across_batches() {
         let (ds, queries) = setup(16);
         let index = build_index(MethodKind::GIndex, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
         let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(2));
         service.prewarm();
-        let prewarmed = service.pooled_sets();
-        assert_eq!(prewarmed, 2);
         let first = service.run_batch(&refs, None);
-        // Every arena returned to a pool; no set leaked into jobs.
-        assert!(service.pooled_sets() >= prewarmed);
         let second = service.run_batch(&refs, None);
+        assert_eq!(service.sets.len(), 2, "one set per worker");
+        for set in &service.sets {
+            assert_eq!(set.universe(), index.universe());
+        }
         assert_eq!(first.executed(), second.executed());
         for (a, b) in first.records.iter().zip(second.records.iter()) {
             assert_eq!(a.as_ref().unwrap().answers, b.as_ref().unwrap().answers);
         }
     }
 
+    /// A query is skipped exactly when its `deadline_of` entry is `past`
+    /// at claim time; every other query runs and answers exactly. The
+    /// boundary (a claim exactly at its deadline is in time) is `past`'s
+    /// own, pinned by `past_is_strict_at_the_deadline`.
     #[test]
-    fn expired_deadline_skips_all_queries() {
-        let (ds, queries) = setup(10);
+    fn deadline_of_skips_exactly_the_expired_queries() {
+        let (ds, queries) = setup(12);
         let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
         let refs: Vec<&Graph> = queries.iter().collect();
-        let mut service = QueryService::new(&*index, &ds, ServiceOptions::new().workers(2));
-        let past = Instant::now() - Duration::from_secs(1);
-        let report = service.run_batch(&refs, Some(past));
-        assert!(report.timed_out());
-        assert_eq!(report.executed(), 0);
-        assert_eq!(report.false_positive_ratio(), 0.0);
-        assert_eq!(report.throughput_qps(), 0.0);
+        let n = refs.len();
+        let now = Instant::now();
+        let expired = now - Duration::from_secs(1);
+        let later = now + Duration::from_secs(3600);
+        let mut subset = vec![None; n];
+        subset[1] = Some(expired);
+        subset[4] = Some(expired);
+        let table = [
+            ("none", vec![None; n], vec![]),
+            ("all expired", vec![Some(expired); n], (0..n).collect()),
+            ("a subset expired", subset, vec![1, 4]),
+            ("not yet reached", vec![Some(later); n], vec![]),
+        ];
+        for (name, deadlines, skipped) in table {
+            let mut sets: Vec<CandidateSet> = (0..2).map(|_| CandidateSet::empty(0)).collect();
+            let report = run_batch_on(&*index, &ds, &mut sets, &refs, |i| deadlines[i], None, None);
+            assert_eq!(report.timed_out(), !skipped.is_empty(), "{name}");
+            assert_eq!(report.executed(), n - skipped.len(), "{name}");
+            for (i, (record, outcome)) in report.records.iter().zip(&report.outcomes).enumerate() {
+                if skipped.contains(&i) {
+                    assert_eq!(*outcome, QueryOutcome::TimedOut, "{name}: query {i}");
+                    assert!(record.is_none(), "{name}: query {i}");
+                } else {
+                    let record = record.as_ref().expect("live query executed");
+                    assert_eq!(record.answers, index.query(&ds, &queries[i]).answers);
+                }
+            }
+            if skipped.len() == n {
+                assert_eq!(report.false_positive_ratio(), 0.0, "{name}");
+                assert_eq!(report.throughput_qps(), 0.0, "{name}");
+            }
+        }
+    }
+
+    /// Unsharded latency is measured from the batch start: on one worker
+    /// each query's summed stage walk ends before the next one's claim, so
+    /// the sums never decrease in batch order, and none exceeds the batch
+    /// wall time read from the same start.
+    #[test]
+    fn stage_walk_is_monotone_and_within_the_batch_wall_time() {
+        let (ds, queries) = setup(16);
+        let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
+        let refs: Vec<&Graph> = queries.iter().collect();
+        let mut sets = vec![CandidateSet::empty(0)];
+        let report = run_batch_on(&*index, &ds, &mut sets, &refs, |_| None, None, None);
+        let mut previous = 0.0;
+        for (i, record) in report.records.iter().enumerate() {
+            let r = record.as_ref().expect("executed");
+            let walk = r.queue_wait_s + r.cache_probe_s + r.filter_s + r.verify_s;
+            assert!(walk >= previous, "query {i}: {walk} < {previous}");
+            assert!(
+                walk <= report.wall_s,
+                "query {i}: {walk} > {}",
+                report.wall_s
+            );
+            previous = walk;
+        }
     }
 
     #[test]
@@ -568,42 +521,10 @@ mod tests {
         assert_eq!(corrupt.false_positive_ratio(), 0.0);
     }
 
-    #[test]
-    fn per_query_deadlines_skip_only_expired_queries() {
-        let (ds, queries) = setup(12);
-        let index = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds);
-        let refs: Vec<&Graph> = queries.iter().collect();
-        let mut arenas: Vec<WorkerArena> = (0..2).map(|_| WorkerArena::default()).collect();
-        let past = Instant::now() - Duration::from_secs(1);
-        let mut per_query: Vec<Option<Instant>> = vec![None; refs.len()];
-        per_query[1] = Some(past);
-        per_query[4] = Some(past);
-        let report = run_batch_on(
-            &*index,
-            &ds,
-            &mut arenas,
-            &refs,
-            None,
-            Some(&per_query),
-            None,
-            None,
-        );
-        assert!(report.timed_out());
-        assert_eq!(report.executed(), refs.len() - 2);
-        for (i, record) in report.records.iter().enumerate() {
-            if i == 1 || i == 4 {
-                assert!(record.is_none(), "expired query {i} must be skipped");
-            } else {
-                let record = record.as_ref().expect("live query executed");
-                assert_eq!(record.answers, index.query(&ds, &queries[i]).answers);
-            }
-        }
-    }
-
     /// Tentpole: a query whose verify stage panics is recorded as `Failed`
     /// while every other query of the batch still completes — on the
     /// single-worker fast path and on a multi-worker pool (where the
-    /// panicking claim must not deadlock the other workers' drain).
+    /// panicking worker must keep claiming with the same set).
     #[test]
     fn injected_verify_panic_is_isolated_to_its_query() {
         fault::silence_injected_panics();
@@ -613,16 +534,15 @@ mod tests {
         let tickets: Vec<Ticket> = (0..refs.len() as u64).collect();
         for workers in [1usize, 4] {
             let plan = FaultPlan::new().panic_in_verify(2, 1).panic_in_verify(5, 1);
-            let mut arenas: Vec<WorkerArena> =
-                (0..workers).map(|_| WorkerArena::default()).collect();
+            let mut sets: Vec<CandidateSet> =
+                (0..workers).map(|_| CandidateSet::empty(0)).collect();
             let report = run_batch_on(
                 &*index,
                 &ds,
-                &mut arenas,
+                &mut sets,
                 &refs,
-                None,
-                None,
-                Some(WaveFaults {
+                |_| None,
+                Some(pool::WaveFaults {
                     plan: &plan,
                     tickets: &tickets,
                 }),

@@ -1,50 +1,28 @@
-//! The worker pool: per-worker candidate arenas and the worker loop that
-//! drives both pipeline stages.
+//! The worker pool: claim-to-completion workers over one batch.
+//!
+//! A worker claims the next unstarted query with one atomic fetch-add on
+//! the batch cursor and runs it to completion — deadline check, filter,
+//! verify, record — before it claims again. Claiming is the whole
+//! load-balancing mechanism: whichever worker is free takes the next query,
+//! so skewed per-query costs never idle the pool, and a query's wall time
+//! is spent on one thread from claim to finish.
 //!
 //! Workers are *scoped to a batch* (spawned with `std::thread::scope` so
-//! they can borrow the index and dataset), but their arenas belong to the
-//! [`crate::service::QueryService`] and persist across batches — after the
-//! first batch a worker's filter stage runs entirely in recycled memory.
+//! they can borrow the index and dataset), but each worker's one
+//! [`CandidateSet`] belongs to the caller and persists across batches —
+//! after the first batch a worker filters entirely in recycled memory.
 
 use super::admission::Ticket;
 use super::fault::FaultPlan;
 use super::past;
-use super::queue::{BatchQueue, StealDeque};
-use super::stages::{filter_stage, verify_stage, QueryOutcome, QueryRecord, VerifyJob};
+use super::stages::{run_query, QueryOutcome, QueryRecord};
+use super::BatchReport;
+use crate::metrics::StageTotals;
 use sqbench_graph::{Dataset, Graph};
 use sqbench_index::{CandidateSet, FeatureCacheStore, GraphIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// One worker's reusable filtering memory: a pool of [`CandidateSet`]s the
-/// filter stage draws arenas from and the verify stage returns them to.
-/// Steady-state, a worker whose verify jobs are not stolen cycles a single
-/// set; stealing moves a set to the thief's pool, so the fleet-wide set
-/// count stays bounded by the number of in-flight queries.
-#[derive(Debug, Default)]
-pub struct WorkerArena {
-    free_sets: Vec<CandidateSet>,
-}
-
-impl WorkerArena {
-    /// Takes a set from the pool (or allocates an empty one on first use —
-    /// `filter_into` re-targets it at the index's universe either way).
-    pub fn take_set(&mut self) -> CandidateSet {
-        self.free_sets
-            .pop()
-            .unwrap_or_else(|| CandidateSet::empty(0))
-    }
-
-    /// Returns a set to the pool for reuse.
-    pub fn recycle(&mut self, set: CandidateSet) {
-        self.free_sets.push(set);
-    }
-
-    /// Number of sets currently pooled (diagnostics/tests).
-    pub fn pooled_sets(&self) -> usize {
-        self.free_sets.len()
-    }
-}
 
 /// The fault-injection view of one (sub-)batch: the shared plan plus the
 /// admission tickets of the batch's queries (indexed like the batch), so
@@ -56,170 +34,127 @@ pub(crate) struct WaveFaults<'q> {
     pub tickets: &'q [Ticket],
 }
 
-/// Everything a batch's workers share by reference.
-pub(super) struct BatchShared<'q> {
-    pub queue: BatchQueue<'q>,
-    pub verify_queues: Vec<StealDeque<VerifyJob<'q>>>,
-    pub deadline: Option<Instant>,
-    /// Fault-injection hook; `None` on the (zero-cost) production path.
-    pub faults: Option<WaveFaults<'q>>,
-    /// Cross-query feature-bitset cache shared by every worker's filter
-    /// stage; `None` (the default) is the byte-identical uncached path.
-    pub cache: Option<&'q dyn FeatureCacheStore>,
-}
-
-impl<'q> BatchShared<'q> {
-    /// Wraps a batch for a pool of `workers`, with an optional batch-wide
-    /// deadline, an optional per-query deadline slice (indexed like
-    /// `queries`), an optional fault-injection plan and an optional shared
-    /// feature cache.
-    pub fn with_deadlines(
-        queries: &'q [&'q Graph],
-        workers: usize,
-        deadline: Option<Instant>,
-        per_query: Option<&'q [Option<Instant>]>,
-        faults: Option<WaveFaults<'q>>,
-        cache: Option<&'q dyn FeatureCacheStore>,
-    ) -> Self {
-        BatchShared {
-            queue: BatchQueue::with_deadlines(queries, per_query),
-            verify_queues: (0..workers).map(|_| StealDeque::default()).collect(),
-            deadline,
-            faults,
-            cache,
-        }
-    }
-
-    /// Pops a verify job: the worker's own deque first (LIFO, cache-hot),
-    /// then round-robin stealing from the other workers' deques.
-    fn pop_verify(&self, worker: usize) -> Option<VerifyJob<'q>> {
-        if let Some(job) = self.verify_queues[worker].pop() {
-            return Some(job);
-        }
-        let n = self.verify_queues.len();
-        (1..n)
-            .map(|offset| &self.verify_queues[(worker + offset) % n])
-            .find_map(StealDeque::steal)
-    }
-
-    /// `true` when query `idx` may no longer start: either the batch-wide
-    /// deadline or the query's own admission deadline has passed.
-    fn past_deadline(&self, idx: usize) -> bool {
-        let now = Instant::now();
-        past(self.deadline, now) || past(self.queue.deadline_of(idx), now)
-    }
-}
-
-/// The worker loop, with a bounded *filter-ahead* window: in a multi-worker
-/// pool a worker keeps up to two filtered jobs parked before it starts
-/// verifying, so while it filters query *i+1* its parked verify job for
-/// query *i* is genuinely stealable by an idle worker — that window is what
-/// makes the filter of one query overlap the verification of another. With
-/// one worker the window shrinks to a single job (there is nobody to steal
-/// it), which degenerates to strict claim → filter → verify batch order —
-/// the sequential-runner semantics, order-dependent Tree+Δ learning
-/// included. When no work is claimable or stealable the worker polls with
-/// exponential backoff until the batch drains. Returns every query this
-/// worker completed, tagged with its batch position and outcome.
+/// Runs one batch of queries on the claim-to-completion pool, one worker
+/// per set in `sets` (clamped to the batch size). The sets persist across
+/// calls — this is the body of [`super::QueryService::run_batch`],
+/// factored out so callers that *own* their index and dataset, like the
+/// sharded service's per-shard pools, can reuse it without the service's
+/// borrowed-lifetime plumbing.
+///
+/// `deadline_of(i)` is query `i`'s effective deadline: a query already
+/// [`past`] it when claimed is skipped as [`QueryOutcome::TimedOut`].
+/// `faults` optionally arms the fault-injection hooks (tickets indexed like
+/// `queries`); `cache` optionally shares a cross-query feature-bitset store
+/// with every worker's filter (see
+/// [`sqbench_index::GraphIndex::filter_into_cached`]).
+///
+/// With one worker the batch runs in place, in strict batch order — the
+/// sequential-runner semantics, order-dependent Tree+Δ learning included.
 ///
 /// # Panic isolation
 ///
-/// Both pipeline stages run under `catch_unwind`: a query whose filter or
-/// verification panics is recorded as [`QueryOutcome::Failed`] (losing at
-/// most its in-flight arena set) and the worker keeps serving. Crucially
-/// the poisoned query is still marked complete on the batch queue, so the
-/// other workers' drain condition cannot deadlock on a claim that will
-/// never finish. The loop itself therefore never unwinds across a claimed
-/// query.
-pub(super) fn worker_loop<'q>(
-    worker: usize,
-    shared: &BatchShared<'q>,
+/// Each query runs under its own `catch_unwind`: a query whose filter or
+/// verification panics is recorded as [`QueryOutcome::Failed`] and the
+/// worker keeps serving with the same set (`filter_into` re-targets a
+/// half-written set on its next use).
+pub(crate) fn run_batch_on(
     index: &dyn GraphIndex,
     dataset: &Dataset,
-    arena: &mut WorkerArena,
-) -> Vec<(usize, QueryOutcome, Option<QueryRecord>)> {
-    let filter_ahead = if shared.verify_queues.len() > 1 { 2 } else { 1 };
-    let mut completed = Vec::new();
-    let mut idle_rounds: u32 = 0;
-    loop {
-        // Stage 1: claim and filter while the local park is below the
-        // filter-ahead bound (this also bounds in-flight arenas per worker).
-        if shared.verify_queues[worker].len() < filter_ahead {
-            if let Some((idx, query, queue_wait_s)) = shared.queue.claim() {
-                idle_rounds = 0;
-                if shared.past_deadline(idx) {
-                    // Budget exhausted (or the query's own admission
-                    // deadline expired) before this query started: skip it,
-                    // like the sequential runner's "remaining queries are
-                    // skipped" semantics.
-                    completed.push((idx, QueryOutcome::TimedOut, None));
-                    shared.queue.complete_one();
-                    continue;
-                }
-                let mut set = arena.take_set();
-                // `set` is only borrowed by the closure, so it survives an
-                // unwind (possibly half-filtered — `filter_into` re-targets
-                // it on next use, so recycling stays safe).
-                let filtered = catch_unwind(AssertUnwindSafe(|| {
-                    filter_stage(index, query, &mut set, shared.cache)
-                }));
-                match filtered {
-                    Ok((filter_s, cache_probe_s)) => {
-                        shared.verify_queues[worker].push(VerifyJob {
-                            query_index: idx,
-                            query,
-                            candidates: set,
-                            queue_wait_s,
-                            cache_probe_s,
-                            filter_s,
-                        });
-                    }
-                    Err(_) => {
-                        arena.recycle(set);
-                        completed.push((idx, QueryOutcome::Failed, None));
-                        shared.queue.complete_one();
-                    }
-                }
+    sets: &mut [CandidateSet],
+    queries: &[&Graph],
+    deadline_of: impl Fn(usize) -> Option<Instant> + Sync,
+    faults: Option<WaveFaults<'_>>,
+    cache: Option<&dyn FeatureCacheStore>,
+) -> BatchReport {
+    let workers = sets.len().min(queries.len()).max(1);
+    let next = AtomicUsize::new(0);
+    // One clock read is the origin of every queue wait and of the batch
+    // wall time, so no query's stage walk can exceed `wall_s`.
+    let started = Instant::now();
+    let worker = |slot: &mut CandidateSet| {
+        // The set works on this worker's own stack for the batch: the
+        // headers of sets side by side in `sets` share a cache line, and
+        // every fold step writes one (its cached length).
+        let mut set = std::mem::replace(slot, CandidateSet::empty(0));
+        let mut completed = Vec::new();
+        loop {
+            // Relaxed: the cursor publishes no data (the queries are
+            // read-only; the scoped join orders every result).
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(query) = queries.get(idx) else {
+                *slot = set;
+                return completed;
+            };
+            let claimed = Instant::now();
+            if past(deadline_of(idx), claimed) {
+                completed.push((idx, QueryOutcome::TimedOut, None));
                 continue;
             }
-        }
-        // Stage 2: verify parked work (own first, then stolen).
-        if let Some(job) = shared.pop_verify(worker) {
-            let idx = job.query_index;
-            // The job (and its arena set) moves into the guarded closure:
-            // on a panic mid-verification the set is dropped with the
-            // unwind — the arena reallocates on next take — but the query
-            // is still accounted for and the pool keeps serving.
-            let verified = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(faults) = &shared.faults {
-                    faults.plan.fire_verify_panic(faults.tickets[idx]);
-                }
-                verify_stage(index, dataset, job)
+            let queue_wait_s = (claimed - started).as_secs_f64();
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                run_query(index, dataset, query, &mut set, cache, queue_wait_s, || {
+                    if let Some(faults) = &faults {
+                        faults.plan.fire_verify_panic(faults.tickets[idx]);
+                    }
+                })
             }));
-            match verified {
-                Ok((idx, record, set)) => {
-                    arena.recycle(set);
-                    completed.push((idx, QueryOutcome::Complete, Some(record)));
-                }
-                Err(_) => completed.push((idx, QueryOutcome::Failed, None)),
-            }
-            shared.queue.complete_one();
-            idle_rounds = 0;
-            continue;
+            completed.push(match ran {
+                Ok(record) => (idx, QueryOutcome::Complete, Some(record)),
+                Err(_) => (idx, QueryOutcome::Failed, None),
+            });
         }
-        if shared.queue.drained() {
-            break;
+    };
+    let completed: Vec<Vec<(usize, QueryOutcome, Option<QueryRecord>)>> = if workers == 1 {
+        // In-place fast path: no thread spawn, strict batch order.
+        vec![worker(&mut sets[0])]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = sets[..workers]
+                .iter_mut()
+                .map(|set| {
+                    let worker = &worker;
+                    scope.spawn(move || worker(set))
+                })
+                .collect();
+            // Per-query panics are caught inside the worker, so a join
+            // error means the worker died in pool infrastructure. Don't
+            // take the whole batch down with it: the queries that worker
+            // claimed but never reported keep their `Failed` default
+            // below, and the sharded layer's retry can still recover them.
+            handles.into_iter().filter_map(|h| h.join().ok()).collect()
+        })
+    };
+    let wall_s = started.elapsed().as_secs_f64();
+
+    let mut records: Vec<Option<QueryRecord>> = Vec::new();
+    records.resize_with(queries.len(), || None);
+    // Failed-by-default: a query nobody reported (its worker died) must
+    // still carry an explicit outcome.
+    let mut outcomes = vec![QueryOutcome::Failed; queries.len()];
+    let mut totals = StageTotals::default();
+    for (idx, outcome, record) in completed.into_iter().flatten() {
+        if let Some(r) = &record {
+            totals.add_query(
+                r.queue_wait_s,
+                r.cache_probe_s,
+                r.filter_s,
+                r.verify_s,
+                r.candidates_pruned,
+            );
+            // Unsharded latency = batch start to the query's finish: its
+            // queue wait up to the claim, then its filter and verify run
+            // back to back on the claiming worker (the sharded merge
+            // overrides this with true submission-to-finalize time).
+            totals.observe_latency(r.queue_wait_s + r.cache_probe_s + r.filter_s + r.verify_s);
         }
-        // Another worker still owns in-flight jobs we might steal. Back
-        // off exponentially (yield, then sleep up to ~1 ms) so a long
-        // batch tail does not busy-burn a core per idle worker hammering
-        // the cursor and every deque mutex.
-        idle_rounds = (idle_rounds + 1).min(10);
-        if idle_rounds <= 3 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(std::time::Duration::from_micros(1 << idle_rounds));
-        }
+        records[idx] = record;
+        outcomes[idx] = outcome;
     }
-    completed
+    BatchReport {
+        records,
+        outcomes,
+        totals,
+        wall_s,
+        workers,
+    }
 }

@@ -7,11 +7,11 @@ use crate::service::admission::Ticket;
 use crate::service::cache::{CacheLevels, CachePolicy};
 use crate::service::fault::FaultPlan;
 use crate::service::options::ServiceOptions;
-use crate::service::pool::{WaveFaults, WorkerArena};
+use crate::service::pool::WaveFaults;
 use crate::service::run_batch_on;
 use crate::service::stages::{QueryOutcome, QueryRecord};
 use sqbench_graph::{Dataset, Graph, GraphId};
-use sqbench_index::GraphIndex;
+use sqbench_index::{CandidateSet, GraphIndex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// One shard's mutable state: its dataset slice, its own index, its id
-/// mapping, the worker arenas that persist across waves and its feature
+/// mapping, one candidate set per worker (kept across waves) and its feature
 /// cache. Shared behind a mutex between the service thread (mutations,
 /// stats, cache control) and the shard's persistent executor thread
 /// (probes) — the executor holds the lock for the duration of each job,
@@ -29,7 +29,7 @@ pub(super) struct ShardCore {
     pub(super) dataset: Dataset,
     pub(super) index: Box<dyn GraphIndex>,
     pub(super) to_global: Vec<GraphId>,
-    arenas: Vec<WorkerArena>,
+    sets: Vec<CandidateSet>,
     /// This shard's cross-query feature-bitset cache (no memo level),
     /// shared by its workers across waves. Per-shard by design: cached
     /// bitsets are shard-local posting lists and must never leak across
@@ -100,7 +100,7 @@ impl Shard {
             dataset: part.dataset,
             index,
             to_global: part.to_global,
-            arenas: (0..workers).map(|_| WorkerArena::default()).collect(),
+            sets: (0..workers).map(|_| CandidateSet::empty(0)).collect(),
             caches: CacheLevels::new(CachePolicy {
                 answer_capacity: 0,
                 ..opts.cache
@@ -159,7 +159,7 @@ impl Drop for Shard {
 /// The shard executor loop: serve probe jobs until the service drops the
 /// job channel. Each job locks the core, rescales the worker pool from
 /// the observed backlog (between `workers.0` and `workers.1`) and runs the
-/// probe batch through the shared filter → verify pipeline; per-item
+/// probe batch through the shared claim-to-completion pool; per-item
 /// results stream back on the job's reply channel as they are known.
 fn run_executor(
     s: usize,
@@ -190,18 +190,16 @@ fn run_executor(
             let target = depth
                 .div_ceil(QUERIES_PER_WORKER)
                 .clamp(workers.0, workers.1);
-            core.arenas.resize_with(target, WorkerArena::default);
+            core.sets.resize_with(target, || CandidateSet::empty(0));
             high_water.fetch_max(target, Ordering::Relaxed);
             let queries: Vec<&Graph> = job.items.iter().map(|it| it.query.as_ref()).collect();
-            let per_query: Vec<Option<Instant>> = job.items.iter().map(|it| it.deadline).collect();
             let tickets: Vec<Ticket> = job.items.iter().map(|it| it.ticket).collect();
             let mut report = run_batch_on(
                 &*core.index,
                 &core.dataset,
-                &mut core.arenas,
+                &mut core.sets,
                 &queries,
-                None,
-                Some(&per_query),
+                |i| job.items[i].deadline,
                 faults.map(|plan| WaveFaults {
                     plan,
                     tickets: &tickets,

@@ -1,14 +1,12 @@
-//! The two pipeline stages a query passes through, plus the job record that
-//! travels between them.
+//! One query's execution, filter then verify, and the vocabulary it is
+//! reported in ([`QueryRecord`], [`QueryOutcome`]).
 //!
-//! The filter stage narrows a worker-owned arena [`CandidateSet`] in place
-//! via [`GraphIndex::filter_into`] — no candidate `Vec` is materialized.
-//! The arena then travels *inside* the [`VerifyJob`] to the verify stage
-//! (usually popped right back by the same worker, sometimes stolen by an
-//! idle one), which runs [`GraphIndex::verify_set`] straight off the bits —
-//! preserving each method's specialized verification (CT-Index's tuned
-//! matcher, Grapes' location-restricted matching, Tree+Δ's Δ learning) —
-//! and hands the set back for recycling.
+//! `run_query` narrows the worker's one [`CandidateSet`] in place via
+//! [`GraphIndex::filter_into`] — no candidate `Vec` is materialized — and
+//! then runs [`GraphIndex::verify_set`] straight off the same bits on the
+//! same thread, preserving each method's specialized verification
+//! (CT-Index's tuned matcher, Grapes' location-restricted matching,
+//! Tree+Δ's Δ learning). The set stays with the worker for its next query.
 
 use crate::metrics::Stopwatch;
 use sqbench_graph::{Dataset, Graph, GraphId};
@@ -63,25 +61,6 @@ impl QueryOutcome {
     }
 }
 
-/// A query that passed the filter stage and awaits verification, carrying
-/// its candidate arena and the timings recorded so far.
-pub struct VerifyJob<'q> {
-    /// Position of the query in the submitted batch.
-    pub query_index: usize,
-    /// The query graph itself.
-    pub query: &'q Graph,
-    /// The filtered candidate set (an arena on loan from a worker; returned
-    /// to whichever worker verifies the job).
-    pub candidates: CandidateSet,
-    /// Seconds the query waited in the request queue before filtering.
-    pub queue_wait_s: f64,
-    /// Seconds the filter stage spent probing the cross-query feature
-    /// cache (0.0 when caching is disabled or the method opts out).
-    pub cache_probe_s: f64,
-    /// Seconds the filter stage took, cache probes excluded.
-    pub filter_s: f64,
-}
-
 /// What the service records for one executed query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRecord {
@@ -110,56 +89,52 @@ impl QueryRecord {
     }
 }
 
-/// Filter stage: narrows the borrowed arena to the query's candidates and
-/// returns `(filter_s, cache_probe_s)` — the stage's wall time split into
-/// filtering proper and cross-query cache probing. With `cache: None` (or
-/// a method that opts out of [`GraphIndex::filter_into_cached`]) the probe
-/// time is exactly `0.0` and the path is byte-identical to the uncached
-/// service.
-pub fn filter_stage(
+/// Runs one claimed query to completion on the calling worker: narrows the
+/// worker's `set` to the query's candidates, calls `before_verify` (the
+/// fault-injection hook), then verifies the candidates straight off the
+/// bits and returns the finished record. `queue_wait_s` is copied into the
+/// record as measured by the caller.
+///
+/// The filter's wall time is split into `filter_s` and `cache_probe_s`.
+/// With `cache: None` (or a method that opts out of
+/// [`GraphIndex::filter_into_cached`]) the probe time is exactly `0.0` and
+/// the path is byte-identical to the uncached service.
+pub(crate) fn run_query(
     index: &dyn GraphIndex,
+    dataset: &Dataset,
     query: &Graph,
-    arena: &mut CandidateSet,
+    set: &mut CandidateSet,
     cache: Option<&dyn FeatureCacheStore>,
-) -> (f64, f64) {
+    queue_wait_s: f64,
+    before_verify: impl FnOnce(),
+) -> QueryRecord {
     let watch = Stopwatch::start();
     let cache_probe_s = match cache {
         Some(store) => {
             let mut ctx = FilterCacheCtx::new(store);
-            index.filter_into_cached(query, arena, &mut ctx);
+            index.filter_into_cached(query, set, &mut ctx);
             ctx.probe_seconds()
         }
         None => {
-            index.filter_into(query, arena);
+            index.filter_into(query, set);
             0.0
         }
     };
-    let total = watch.elapsed_secs();
-    ((total - cache_probe_s).max(0.0), cache_probe_s)
-}
-
-/// Verify stage: consumes a [`VerifyJob`], verifies its candidates straight
-/// off the bitset, and returns the finished record together with the arena
-/// set for recycling.
-pub fn verify_stage(
-    index: &dyn GraphIndex,
-    dataset: &Dataset,
-    job: VerifyJob<'_>,
-) -> (usize, QueryRecord, CandidateSet) {
+    let filter_s = (watch.elapsed_secs() - cache_probe_s).max(0.0);
+    before_verify();
     let watch = Stopwatch::start();
-    let answers = index.verify_set(dataset, job.query, &job.candidates);
+    let answers = index.verify_set(dataset, query, set);
     let verify_s = watch.elapsed_secs();
-    let candidate_count = job.candidates.len();
-    let record = QueryRecord {
+    let candidate_count = set.len();
+    QueryRecord {
         candidate_count,
-        candidates_pruned: job.candidates.universe() - candidate_count,
+        candidates_pruned: set.universe() - candidate_count,
         answers,
-        queue_wait_s: job.queue_wait_s,
-        cache_probe_s: job.cache_probe_s,
-        filter_s: job.filter_s,
+        queue_wait_s,
+        cache_probe_s,
+        filter_s,
         verify_s,
-    };
-    (job.query_index, record, job.candidates)
+    }
 }
 
 #[cfg(test)]
@@ -188,24 +163,17 @@ mod tests {
             .build()
             .unwrap();
 
-        let mut arena = CandidateSet::empty(0); // dirty universe on purpose
-        let (filter_s, cache_probe_s) = filter_stage(&*index, &query, &mut arena, None);
-        assert!(filter_s >= 0.0);
-        assert_eq!(cache_probe_s, 0.0, "no cache, no probe time");
-        let job = VerifyJob {
-            query_index: 7,
-            query: &query,
-            candidates: arena,
-            queue_wait_s: 0.0,
-            cache_probe_s,
-            filter_s,
-        };
-        let (idx, record, recycled) = verify_stage(&*index, &ds, job);
-        assert_eq!(idx, 7);
+        let mut set = CandidateSet::empty(0); // dirty universe on purpose
+        let mut hooked = false;
+        let record = run_query(&*index, &ds, &query, &mut set, None, 0.5, || hooked = true);
+        assert!(hooked, "the verify hook fires");
+        assert!(record.filter_s >= 0.0);
+        assert_eq!(record.cache_probe_s, 0.0, "no cache, no probe time");
+        assert_eq!(record.queue_wait_s, 0.5);
         assert_eq!(record.candidate_count + record.candidates_pruned, ds.len());
-        assert_eq!(recycled.universe(), ds.len());
+        assert_eq!(set.universe(), ds.len());
 
-        // The staged result equals the one-shot query path.
+        // The served result equals the one-shot query path.
         let outcome = index.query(&ds, &query);
         assert_eq!(record.answers, outcome.answers);
         assert_eq!(record.candidate_count, outcome.candidates.len());
