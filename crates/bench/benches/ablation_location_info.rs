@@ -1,11 +1,12 @@
 //! Ablation: the two design choices DESIGN.md singles out for Grapes.
 //!
 //! 1. **Location information** — Grapes and GraphGrepSX share the same path
-//!    enumeration and the same count-based pruning rule; the only filtering
-//!    difference is Grapes' per-path start-vertex lists and the
-//!    component-restricted verification they enable. Benchmarking the two
-//!    side by side isolates that choice (the space cost shows up in the
-//!    printed index sizes, the time benefit in the query benchmark).
+//!    enumeration, the same count-based pruning rule and the same VF2
+//!    verifier; the only difference is Grapes' per-path start-vertex lists,
+//!    which are stored but read by no query. Benchmarking the two side by
+//!    side isolates that choice: the space cost shows up in the printed
+//!    index sizes, and the query benchmark times the same filter and
+//!    verifier, Grapes' with its verification threads.
 //! 2. **Parallel index construction** — Grapes' build with 1 worker thread
 //!    vs. the paper's 6.
 

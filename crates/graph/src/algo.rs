@@ -1,11 +1,9 @@
 //! Basic graph algorithms needed across the workspace: traversal,
-//! connectivity, and component extraction.
+//! connectivity and cycle detection.
 //!
 //! These are used by the dataset statistics (number of disconnected graphs in
-//! Table 1), by the Grapes verification stage (which tests the query against
-//! individual connected components), and by the generators (to report how
-//! many synthetic graphs are trees vs. contain cycles, as discussed in §4.2
-//! of the paper).
+//! Table 1) and by the generators (to report how many synthetic graphs are
+//! trees vs. contain cycles, as discussed in §4.2 of the paper).
 
 use crate::graph::{Graph, VertexId};
 use std::collections::VecDeque;
@@ -46,16 +44,6 @@ pub fn is_connected(g: &Graph) -> bool {
         return true;
     }
     connected_components(g).len() == 1
-}
-
-/// Extracts each connected component of `g` as a standalone [`Graph`].
-/// Used by Grapes-style verification, which matches the query against each
-/// surviving component separately.
-pub fn component_subgraphs(g: &Graph) -> Vec<Graph> {
-    connected_components(g)
-        .into_iter()
-        .map(|vs| g.induced_subgraph(&vs))
-        .collect()
 }
 
 /// Breadth-first order of vertices reachable from `start`.
@@ -225,18 +213,6 @@ mod tests {
         let g = Graph::new("empty");
         assert!(is_connected(&g));
         assert!(connected_components(&g).is_empty());
-    }
-
-    #[test]
-    fn component_subgraphs_preserve_structure() {
-        let g = two_triangles();
-        let subs = component_subgraphs(&g);
-        assert_eq!(subs.len(), 2);
-        for sub in subs {
-            assert_eq!(sub.vertex_count(), 3);
-            assert_eq!(sub.edge_count(), 3);
-            assert!(has_cycle(&sub));
-        }
     }
 
     #[test]

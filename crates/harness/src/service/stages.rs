@@ -4,9 +4,9 @@
 //! `run_query` narrows the worker's one [`CandidateSet`] in place via
 //! [`GraphIndex::filter_into`] — no candidate `Vec` is materialized — and
 //! then runs [`GraphIndex::verify_set`] straight off the same bits on the
-//! same thread, preserving each method's specialized verification
-//! (CT-Index's tuned matcher, Grapes' location-restricted matching,
-//! Tree+Δ's Δ learning). The set stays with the worker for its next query.
+//! same thread: the one shared VF2, with each method's own additions around
+//! it (Grapes' thread fan-out, Tree+Δ's Δ learning). The set stays with the
+//! worker for its next query.
 
 use crate::metrics::Stopwatch;
 use sqbench_graph::{Dataset, Graph, GraphId};

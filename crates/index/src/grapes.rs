@@ -1,5 +1,5 @@
 //! Grapes: exhaustive path enumeration with location information, parallel
-//! index construction, and component-restricted parallel verification.
+//! index construction, and parallel verification.
 //!
 //! Giugno et al., "GRAPES: A Software for Parallel Searching on Biological
 //! Graphs Targeting Multi-Core Architectures" (PLoS One 2013). Grapes sits
@@ -8,10 +8,12 @@
 //!
 //! 1. **Location information** — besides per-graph occurrence counts, each
 //!    indexed path stores the ids of the vertices where its occurrences
-//!    start. At query time the union of those start vertices over all query
-//!    paths bounds where an embedding can live; verification then only has
-//!    to look at the connected components induced by those vertices instead
-//!    of the whole graph.
+//!    start. In the published method the union of those start vertices over
+//!    all query paths bounds where an embedding can live, and verification
+//!    only looks at the connected components they induce. Here Grapes
+//!    verifies with the shared VF2 on the whole candidate, as every method
+//!    does: copying the components out per candidate measured slower than
+//!    the search it was meant to shorten.
 //! 2. **Parallelism** — both index construction and verification are spread
 //!    across a configurable number of worker threads (6 in the paper's
 //!    setup). Construction partitions the dataset graphs across threads,
@@ -24,13 +26,10 @@
 //! vertex; every other query path begins with a query label, so its
 //! traversals start at vertices carrying one. Hence, for any indexed graph,
 //! the union of start vertices over the query's paths is exactly the set of
-//! its vertices whose label occurs in the query. Verification reads that set off the candidate's own
-//! labels — one pass over its vertices — instead of a second enumeration of
-//! the query's paths and a probe of their payloads; the restriction, and so
-//! every answer, is the one the stored locations give. The start vertices
-//! stay stored all the same: they are the space the paper's Grapes-vs-GGSX
-//! index-size comparison measures (`ablation_location_info` asserts that
-//! gap), and the published method keeps them.
+//! its vertices whose label occurs in the query. No query reads the start
+//! vertices. They stay stored all the same: they are the space the paper's
+//! Grapes-vs-GGSX index-size comparison measures (`ablation_location_info`
+//! asserts that gap), and the published method keeps them.
 //!
 //! As in the paper's methodology, verification returns after the *first*
 //! match (the original GRAPES code enumerated all matches; the authors
@@ -40,66 +39,26 @@ use crate::candidates::{CandidateSet, IdSpace};
 use crate::config::{GgsxConfig, GrapesConfig};
 use crate::fcache::FilterCacheCtx;
 use crate::ggsx::GgsxIndex;
-use crate::{GraphIndex, IndexStats, MethodKind};
-use sqbench_graph::{algo, Dataset, Graph, GraphId, Label, VertexId};
+use crate::{vf2_verify, GraphIndex, IndexStats, MethodKind};
+use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_iso::{MatchState, Vf2Matcher};
 
 /// The Grapes index: the GraphGrepSX path-trie store with start-vertex
 /// locations in its payloads — indexing, purging, statistics and the
 /// count-pruning filter are that store's — plus what Grapes adds: the
-/// parallel build and component-restricted verification.
+/// parallel build and parallel verification.
 #[derive(Debug, Clone)]
 pub struct GrapesIndex {
     config: GrapesConfig,
     store: GgsxIndex,
 }
 
-/// What Grapes' verification needs of the query, computed once per query.
-struct QueryScope {
-    /// The query's distinct labels, ascending.
-    labels: Vec<Label>,
-    /// Component-restricted verification is only sound for connected
-    /// queries (an embedding of a connected query lies in one component).
-    connected: bool,
-}
-
-impl QueryScope {
-    fn of(query: &Graph) -> Self {
-        let mut labels = query.labels().to_vec();
-        labels.sort_unstable();
-        labels.dedup();
-        QueryScope {
-            labels,
-            connected: algo::is_connected(query),
-        }
-    }
-
-    /// The candidate's location vertices — by the location identity, those
-    /// whose label occurs in the query — when they restrict verification:
-    /// `None` for a disconnected query, or when they are none or all of the
-    /// graph's vertices (verification then runs on the whole graph).
-    fn locations(&self, graph: &Graph) -> Option<Vec<VertexId>> {
-        if !self.connected {
-            return None;
-        }
-        let located = |v: &VertexId| self.labels.binary_search(&graph.label(*v)).is_ok();
-        let count = graph.vertices().filter(located).count();
-        (count > 0 && count < graph.vertex_count())
-            .then(|| graph.vertices().filter(located).collect())
-    }
-
-    /// Verifies the query against one candidate graph, inside the connected
-    /// components its location vertices induce. `state` is the calling
-    /// worker's reusable VF2 scratch.
-    fn matches(&self, matcher: &Vf2Matcher<'_>, state: &mut MatchState, graph: &Graph) -> bool {
-        match self.locations(graph) {
-            Some(vertices) => algo::component_subgraphs(&graph.induced_subgraph(&vertices))
-                .iter()
-                .any(|component| matcher.matches_with(state, component)),
-            None => matcher.matches_with(state, graph),
-        }
-    }
-}
+/// Candidates below which Grapes verifies in place: a per-query thread
+/// fan-out only pays for itself on large candidate sets, and the common case
+/// once filtering has done its job stays allocation-free — which also keeps
+/// an outer multi-worker service from multiplying thread counts on every
+/// query.
+const PARALLEL_VERIFY_MIN_CANDIDATES: usize = 64;
 
 impl GrapesIndex {
     /// Builds the index over a dataset, using `config.threads` worker
@@ -178,33 +137,27 @@ impl GraphIndex for GrapesIndex {
         self.store.stats()
     }
 
-    /// Location-restricted verification straight off the bitset, spread
-    /// over `config.threads` workers (the paper runs Grapes with 6;
-    /// configure `threads: 1` when an outer worker pool already saturates
-    /// the machine).
+    /// The shared VF2 straight off the bitset, spread over `config.threads`
+    /// workers once there are [`PARALLEL_VERIFY_MIN_CANDIDATES`] candidates
+    /// (the paper runs Grapes with 6; configure `threads: 1` when an outer
+    /// worker pool already saturates the machine).
     fn verify_set(
         &self,
         dataset: &Dataset,
         query: &Graph,
         candidates: &CandidateSet,
     ) -> Vec<GraphId> {
-        let matcher = Vf2Matcher::new(query);
-        let scope = QueryScope::of(query);
-        let matches = |state: &mut MatchState, graph: &Graph| scope.matches(&matcher, state, graph);
-        // Per-query thread fan-out only pays for itself on large candidate
-        // sets; below the threshold (the common case once filtering has
-        // done its job) verification stays in place and allocation-free,
-        // which also keeps an outer multi-worker service from multiplying
-        // thread counts on every query.
-        const PARALLEL_VERIFY_MIN_CANDIDATES: usize = 64;
         if self.config.threads > 1 && candidates.len() >= PARALLEL_VERIFY_MIN_CANDIDATES {
+            let matcher = Vf2Matcher::new(query);
             let ids = candidates.to_sorted_vec();
             let threads = self.config.threads.min(ids.len() / 32).max(1);
             parallel_retain(&ids, threads, |state, gid| {
-                dataset.graph(gid).is_ok_and(|g| matches(state, g))
+                dataset
+                    .graph(gid)
+                    .is_ok_and(|g| matcher.matches_with(state, g))
             })
         } else {
-            crate::verify_blocks(dataset, query.vertex_count(), candidates.iter(), matches)
+            vf2_verify(dataset, query, candidates.iter())
         }
     }
 }
@@ -374,8 +327,9 @@ mod tests {
             // Disconnected: in `disc` the labels 1 and 3 sit in different
             // components, so the component restriction must not apply.
             ("disconnected", query(&[1, 3], &[])),
-            // Connected, and its start vertices cover only {2, 3} of the
-            // four-vertex `disc` graph: verified inside that component.
+            // Connected, and its labels cover only {2, 3} of the four-vertex
+            // `disc` graph: the case the published method verifies inside
+            // that component.
             ("partial locations", query(&[3, 3], &[(0, 1)])),
         ];
         for (name, q) in &cases {
@@ -383,6 +337,34 @@ mod tests {
             assert!(expected.contains(&3), "{name}: `disc` must match");
             assert_eq!(idx.verify_set(&ds, q, &all), expected, "{name}");
             assert_eq!(idx.query(&ds, q).answers, expected, "{name}");
+        }
+    }
+
+    /// At ≥ [`PARALLEL_VERIFY_MIN_CANDIDATES`] candidates and `threads > 1`
+    /// `verify_set` fans out through `parallel_retain`; its answers are the
+    /// oracle's and the in-place loop's, connected query or not.
+    #[test]
+    fn threaded_verify_set_matches_the_oracle_and_one_thread() {
+        let base = dataset();
+        let graphs = (0..32).flat_map(|_| base.graphs().iter().cloned());
+        let ds = Dataset::from_shared("ds", graphs.collect());
+        assert!(ds.len() >= PARALLEL_VERIFY_MIN_CANDIDATES);
+        let build = |threads| {
+            GrapesIndex::build(
+                &ds,
+                GrapesConfig {
+                    threads,
+                    ..GrapesConfig::default()
+                },
+            )
+        };
+        let (threaded, single) = (build(4), build(1));
+        let all = CandidateSet::full(ds.len());
+        for q in [query(&[1, 2], &[(0, 1)]), query(&[1, 3], &[])] {
+            let expected = exhaustive_answers(&ds, &q);
+            assert!(!expected.is_empty());
+            assert_eq!(threaded.verify_set(&ds, &q, &all), expected);
+            assert_eq!(single.verify_set(&ds, &q, &all), expected);
         }
     }
 

@@ -198,10 +198,11 @@ pub struct IndexStats {
 ///
 /// **It inherits the lifecycle, which therefore exists once:** `universe`,
 /// `insert`, `remove`, `filter_into`, `filter_into_cached`, `size_bytes` and
-/// `query`; no method overrides any of them. The default
-/// [`GraphIndex::verify_set`] uses the VF2 first-match verifier the paper
-/// standardizes on; Grapes and CT-Index override it with their specialized
-/// procedures, and Tree+Δ hooks query-time feature learning into it.
+/// `query`; no method overrides any of them. Every method verifies with the
+/// one VF2 first-match verifier ([`vf2_verify`]): the default
+/// [`GraphIndex::verify_set`] calls it, Grapes overrides it only to fan
+/// large candidate sets out over its threads, and Tree+Δ hooks query-time
+/// feature learning in before it.
 pub trait GraphIndex: Send + Sync {
     /// Which method this index implements.
     fn kind(&self) -> MethodKind;
@@ -324,18 +325,17 @@ pub trait GraphIndex: Send + Sync {
     /// Verification stage, straight off a filtered [`CandidateSet`]: tests
     /// `query` against each set bit in id order with the shared VF2 verifier
     /// (first-match semantics), without materializing the candidates as a
-    /// `Vec`. This is the one verify entry point; methods with specialized
-    /// verification override it — CT-Index's tuned matcher, Grapes'
-    /// location-restricted matching, Tree+Δ's query-time Δ learning — so
-    /// every caller of `filter_into` + `verify_set` gets each method's
-    /// published query semantics.
+    /// `Vec`. This is the one verify entry point; two methods override it
+    /// around the same verifier — Grapes' per-query thread fan-out and
+    /// Tree+Δ's query-time Δ learning — so every caller of `filter_into` +
+    /// `verify_set` gets each method's published query semantics.
     fn verify_set(
         &self,
         dataset: &Dataset,
         query: &Graph,
         candidates: &CandidateSet,
     ) -> Vec<GraphId> {
-        vf2_verify_set(dataset, query, candidates)
+        vf2_verify(dataset, query, candidates.iter())
     }
 
     /// Full query processing: filtering followed by verification, through
@@ -353,14 +353,14 @@ pub trait GraphIndex: Send + Sync {
 }
 
 std::thread_local! {
-    /// Per-thread VF2 scratch reused by every [`verify_blocks`] call on the
+    /// Per-thread VF2 scratch reused by every [`vf2_verify`] call on the
     /// same worker: the harness batches queries across a thread pool, and
     /// each worker's verification runs allocation-free after warm-up.
     static VERIFY_STATE: std::cell::RefCell<MatchState> =
         std::cell::RefCell::new(MatchState::new());
 }
 
-/// Candidates gathered per block by [`verify_blocks`]. The dataset
+/// Candidates gathered per block by [`vf2_verify`]. The dataset
 /// stores graphs behind `Arc`, so touching a candidate costs one pointer
 /// hop; a gather pass reads each block candidate's vertex count in a tight
 /// dependency-free loop, so the CPU overlaps those cache misses (and the
@@ -369,19 +369,20 @@ std::thread_local! {
 /// shared-storage data model on verification-heavy workloads.
 const VERIFY_BLOCK: usize = 64;
 
-/// The one in-place verify loop: runs `matches` (a method's per-candidate
-/// predicate — plain VF2, or Grapes' location-restricted matching) over
-/// `candidates` block-wise (gather `&Graph` refs and vertex counts, then
-/// match) on the calling thread's VF2 scratch, and returns the surviving ids
-/// in input order. The gathered vertex count doubles as a sound size
-/// prefilter: a graph with fewer vertices than `min_vertices` (the query's)
-/// cannot contain the query, so the predicate is never entered for it.
-pub(crate) fn verify_blocks(
+/// The one verify loop: keeps the `candidates` that contain `query`, in
+/// input order. The matcher borrows the query once (no clone), and runs
+/// block-wise (gather `&Graph` refs and vertex counts, then match) on the
+/// calling thread's VF2 scratch, reused across candidates *and* across
+/// queries served by the same worker thread. The gathered vertex count
+/// doubles as a sound size prefilter: a graph with fewer vertices than the
+/// query cannot contain it, so VF2 is never entered for it.
+pub fn vf2_verify(
     dataset: &Dataset,
-    min_vertices: usize,
-    candidates: impl Iterator<Item = GraphId>,
-    matches: impl Fn(&mut MatchState, &Graph) -> bool,
+    query: &Graph,
+    candidates: impl IntoIterator<Item = GraphId>,
 ) -> Vec<GraphId> {
+    let matcher = Vf2Matcher::new(query);
+    let min_vertices = query.vertex_count();
     VERIFY_STATE.with(|cell| {
         let state = &mut *cell.borrow_mut();
         let mut answers = Vec::new();
@@ -390,13 +391,13 @@ pub(crate) fn verify_blocks(
         // label/adjacency buffers), and once `pending` is full the
         // *previous* block — whose prefetches were issued one round earlier
         // and have had a full block of gather work to land — runs through
-        // the predicate. The final partial rounds flush in arrival order to
-        // keep `answers` sorted by input order.
+        // VF2. The final partial rounds flush in arrival order to keep
+        // `answers` sorted by input order.
         let mut ready: Vec<(GraphId, &Graph)> = Vec::with_capacity(VERIFY_BLOCK);
         let mut pending: Vec<(GraphId, &Graph)> = Vec::with_capacity(VERIFY_BLOCK);
         let mut flush = |block: &mut Vec<(GraphId, &Graph)>, answers: &mut Vec<GraphId>| {
             for &(gid, g) in block.iter() {
-                if matches(state, g) {
+                if matcher.matches_with(state, g) {
                     answers.push(gid);
                 }
             }
@@ -421,40 +422,12 @@ pub(crate) fn verify_blocks(
     })
 }
 
-/// Shared VF2 verification helper: keeps candidates that actually contain
-/// the query, preserving sorted order. The matcher borrows the query (no
-/// clone) and the search scratch is a per-thread [`MatchState`] reused
-/// across candidates *and* across queries served by the same worker thread.
-pub fn vf2_verify(dataset: &Dataset, query: &Graph, candidates: &[GraphId]) -> Vec<GraphId> {
-    vf2_verify_ids(dataset, query, candidates.iter().copied())
-}
-
-/// Shared VF2 verification over a candidate bitset: keeps the member ids
-/// that actually contain the query, in ascending id order, without ever
-/// materializing the candidate set as a `Vec`. Same matcher/scratch reuse as
-/// [`vf2_verify`] (per-thread [`MatchState`], query borrowed once).
-pub fn vf2_verify_set(dataset: &Dataset, query: &Graph, candidates: &CandidateSet) -> Vec<GraphId> {
-    vf2_verify_ids(dataset, query, candidates.iter())
-}
-
-fn vf2_verify_ids(
-    dataset: &Dataset,
-    query: &Graph,
-    candidates: impl Iterator<Item = GraphId>,
-) -> Vec<GraphId> {
-    let matcher = Vf2Matcher::new(query);
-    verify_blocks(dataset, query.vertex_count(), candidates, |state, g| {
-        matcher.matches_with(state, g)
-    })
-}
-
 /// Exhaustive ground truth: the exact answer set computed by running the
 /// verifier against *every* graph in the dataset (the "naive method" the
 /// paper uses as the correctness baseline). Quadratically expensive; used
 /// by tests and small-scale experiments only.
 pub fn exhaustive_answers(dataset: &Dataset, query: &Graph) -> Vec<GraphId> {
-    let all: Vec<GraphId> = dataset.ids().collect();
-    vf2_verify(dataset, query, &all)
+    vf2_verify(dataset, query, dataset.ids())
 }
 
 /// Builds an index of the requested method over `dataset` using the given
@@ -548,14 +521,14 @@ mod tests {
             .edge(0, 1)
             .build()
             .unwrap();
-        let verified = vf2_verify(&ds, &q, &[0, 1]);
+        let verified = vf2_verify(&ds, &q, [0, 1]);
         assert_eq!(verified, vec![0, 1]);
         let q2 = GraphBuilder::new("q2")
             .vertices(&[2, 3])
             .edge(0, 1)
             .build()
             .unwrap();
-        assert_eq!(vf2_verify(&ds, &q2, &[0, 1]), vec![1]);
+        assert_eq!(vf2_verify(&ds, &q2, [0, 1]), vec![1]);
     }
 
     #[test]

@@ -299,7 +299,7 @@ impl GraphIndex for TreeDeltaIndex {
         // the candidates as a sorted id list — the one place Tree+Δ still
         // materializes one, inherent to the published algorithm.
         let narrowed = self.learn_delta(dataset, query, candidates.to_sorted_vec());
-        vf2_verify(dataset, query, &narrowed)
+        vf2_verify(dataset, query, narrowed)
     }
 }
 

@@ -388,6 +388,20 @@ pub fn count_embeddings(query: &Graph, target: &Graph, limit: usize) -> usize {
     Vf2Matcher::new(query).count(target, limit)
 }
 
+/// [`has_subgraph_embedding`] under CT-Index's verifier name. The standalone
+/// benchmark crate's trace times `TunedMatcher::matches`
+/// (`iso.tuned_{hit,miss}_us`), and that caller is the only reason this type
+/// exists: CT-Index verifies with the shared VF2 like every method.
+#[derive(Debug, Clone)]
+pub struct TunedMatcher;
+
+impl TunedMatcher {
+    /// [`has_subgraph_embedding`].
+    pub fn matches(query: &Graph, target: &Graph) -> bool {
+        has_subgraph_embedding(query, target)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

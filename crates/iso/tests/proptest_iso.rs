@@ -1,13 +1,22 @@
-//! Property-based tests for the subgraph isomorphism matchers.
+//! Property-based tests for the VF2 matcher, the one verifier every method
+//! and `exhaustive_answers` rest on.
 //!
-//! The key oracle: queries extracted as subgraphs of a target must always be
-//! found, the two matchers (VF2 and the tuned CT-Index verifier) must agree
-//! on every input, and any embedding returned must actually be a valid
-//! label- and edge-preserving injective mapping.
+//! The key oracle: VF2 agrees on every small input with a brute-force
+//! enumeration of all injective maps from query to target vertices, queries
+//! extracted as subgraphs of a target must always be found, and any
+//! embedding returned must actually be a valid label- and edge-preserving
+//! injective mapping.
 
 use proptest::prelude::*;
 use sqbench_graph::Graph;
-use sqbench_iso::{vf2, TunedMatcher, Vf2Matcher};
+use sqbench_iso::{vf2, MatchState, Vf2Matcher};
+use std::cell::RefCell;
+
+std::thread_local! {
+    /// One VF2 scratch shared by every case of the brute-force property, as
+    /// a verify worker shares one across candidates and queries.
+    static STATE: RefCell<MatchState> = RefCell::new(MatchState::new());
+}
 
 /// Random labeled graph strategy.
 fn arb_graph(max_n: usize, max_labels: u32) -> impl Strategy<Value = Graph> {
@@ -45,6 +54,39 @@ fn graph_and_subgraph(max_n: usize, max_labels: u32) -> impl Strategy<Value = (G
     })
 }
 
+/// `true` iff `map` (query vertex → target vertex) preserves labels and
+/// query edges.
+fn preserves_labels_and_edges(query: &Graph, target: &Graph, map: &[usize]) -> bool {
+    query
+        .vertices()
+        .all(|v| query.label(v) == target.label(map[v]))
+        && query.edges().all(|(u, v)| target.has_edge(map[u], map[v]))
+}
+
+/// Brute force: tries every injective map of query vertices to target
+/// vertices and tests each whole map with [`preserves_labels_and_edges`];
+/// no label, degree or adjacency pruning, no order.
+fn brute_force_embeds(query: &Graph, target: &Graph) -> bool {
+    fn extend(query: &Graph, target: &Graph, map: &mut Vec<usize>) -> bool {
+        if map.len() == query.vertex_count() {
+            return preserves_labels_and_edges(query, target, map);
+        }
+        for t in target.vertices() {
+            if map.contains(&t) {
+                continue;
+            }
+            map.push(t);
+            let found = extend(query, target, map);
+            map.pop();
+            if found {
+                return true;
+            }
+        }
+        false
+    }
+    extend(query, target, &mut Vec::new())
+}
+
 fn validate_embedding(query: &Graph, target: &Graph, emb: &[usize]) {
     assert_eq!(emb.len(), query.vertex_count());
     let mut sorted = emb.to_vec();
@@ -60,6 +102,25 @@ fn validate_embedding(query: &Graph, target: &Graph, emb: &[usize]) {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// VF2 agrees with the brute-force enumerator on arbitrary (query,
+    /// target) pairs, through `matches_with` on one reused scratch state,
+    /// and every embedding it returns is valid.
+    #[test]
+    fn vf2_agrees_with_brute_force(query in arb_graph(5, 3), target in arb_graph(7, 3)) {
+        let matcher = Vf2Matcher::new(&query);
+        let found = STATE.with(|state| matcher.matches_with(&mut state.borrow_mut(), &target));
+        prop_assert_eq!(found, brute_force_embeds(&query, &target));
+        let emb = matcher.find_first(&target);
+        prop_assert_eq!(emb.is_some(), found);
+        if let Some(emb) = emb {
+            validate_embedding(&query, &target, &emb);
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// An induced subgraph of a graph is always contained in it, and the
@@ -70,21 +131,6 @@ proptest! {
         let emb = matcher.find_first(&target);
         prop_assert!(emb.is_some(), "query extracted from target not found");
         validate_embedding(&query, &target, &emb.unwrap());
-        prop_assert!(TunedMatcher::matches(&query, &target));
-    }
-
-    /// The VF2 and tuned matchers agree on arbitrary (query, target) pairs.
-    #[test]
-    fn matchers_agree(query in arb_graph(5, 3), target in arb_graph(7, 3)) {
-        let vf2_result = vf2::has_subgraph_embedding(&query, &target);
-        let tuned_result = TunedMatcher::matches(&query, &target);
-        prop_assert_eq!(vf2_result, tuned_result);
-        if let Some(emb) = vf2::find_first_embedding(&query, &target) {
-            validate_embedding(&query, &target, &emb);
-        }
-        if let Some(emb) = TunedMatcher::find_first(&query, &target) {
-            validate_embedding(&query, &target, &emb);
-        }
     }
 
     /// Containment is reflexive and monotone under edge removal from the
@@ -114,6 +160,5 @@ proptest! {
         let mut q = target.clone();
         q.add_vertex(999);
         prop_assert!(!vf2::has_subgraph_embedding(&q, &target));
-        prop_assert!(!TunedMatcher::matches(&q, &target));
     }
 }
