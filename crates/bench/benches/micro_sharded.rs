@@ -27,9 +27,8 @@
 //!   `GraphSynopsis::of` + `Router::retract` (timed with the `Router`
 //!   clone that keeps the iterations independent, so the arm reads high);
 //! * `rescan`  — what it did before the tier could subtract:
-//!   `ShardSynopsis::of` + `Router::shard_fingerprint` over the shard with
-//!   the victim tombstoned — the oracle pair the equality property tests
-//!   `retract` against.
+//!   `ShardSynopsis::of` over the shard with the victim tombstoned — the
+//!   oracle the equality property tests `retract` against.
 //!
 //! The number to read is the in-run ratio the bench prints, not either
 //! median: `retract` is flat in the shard size, `rescan` linear.
@@ -217,12 +216,8 @@ fn bench_ingest_remove(c: &mut Criterion) {
         // routing state.
         let victim = shard.graph_unchecked(graphs / 2);
         let mut retracted = router.clone();
-        retracted.retract(0, victim, &GraphSynopsis::of(victim));
+        retracted.retract(0, &GraphSynopsis::of(victim));
         assert_eq!(retracted.synopsis(0), &ShardSynopsis::of(&tombstoned));
-        assert_eq!(
-            retracted.fingerprint(0),
-            &Router::shard_fingerprint(&tombstoned)
-        );
 
         // Every member takes its turn as the victim, so the arm reads the
         // shard's average graph rather than one molecule's size.
@@ -232,14 +227,14 @@ fn bench_ingest_remove(c: &mut Criterion) {
                 let victim = shard.graph_unchecked(turn % graphs);
                 turn += 1;
                 let mut router = router.clone();
-                router.retract(0, victim, &GraphSynopsis::of(victim));
+                router.retract(0, &GraphSynopsis::of(victim));
                 router
             })
         });
         group.bench_with_input(
             BenchmarkId::new("rescan", graphs),
             &tombstoned,
-            |b, shard| b.iter(|| (ShardSynopsis::of(shard), Router::shard_fingerprint(shard))),
+            |b, shard| b.iter(|| ShardSynopsis::of(shard)),
         );
     }
     group.finish();

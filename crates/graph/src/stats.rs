@@ -423,8 +423,7 @@ impl ShardSynopsis {
     }
 
     /// Estimated heap bytes of the synopsis, bounds and multiplicities
-    /// both — the routing layer's per-shard memory cost beside the
-    /// fingerprint, reported alongside index sizes.
+    /// both — the routing layer's per-shard memory cost.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let witness_bytes = |w: &Witnesses| w.len() * size_of::<(usize, u32)>();

@@ -5,13 +5,13 @@
 //! front — fine for reproducing the paper's figures, wrong for a service
 //! facing open traffic. [`AdmissionQueue`] decouples the two sides:
 //!
-//! * **Producers** call [`AdmissionQueue::submit`] (blocking) or
-//!   [`AdmissionQueue::try_submit`] (non-blocking) from any number of
-//!   threads. Each admitted query gets a unique, monotonically increasing
-//!   [`Ticket`] and may carry its own deadline. The queue is *bounded*:
-//!   when `capacity` queries are pending, `submit` blocks on a condvar
-//!   until the consumer drains (backpressure), and `try_submit` returns
-//!   [`SubmitError::Full`] so callers can shed load instead.
+//! * **Producers** call [`AdmissionQueue::submit`] or the cost-aware
+//!   [`AdmissionQueue::submit_or_shed`] from any number of threads. Each
+//!   admitted query gets a unique, monotonically increasing [`Ticket`] and
+//!   may carry its own deadline. The queue is *bounded*: when `capacity`
+//!   queries are pending, a submit blocks on a condvar until the consumer
+//!   drains (backpressure), unless `submit_or_shed` finds the query's
+//!   deadline infeasible and sheds it ([`SubmitError::Shed`]).
 //! * **The consumer** (whoever owns the service) calls
 //!   [`AdmissionQueue::drain_pending`] to take everything currently
 //!   admitted as one wave, in admission order, and serves it. Draining
@@ -97,9 +97,6 @@ impl AdmittedQuery {
 pub enum SubmitError {
     /// The queue has been closed; no further queries are admitted.
     Closed,
-    /// The queue is at capacity ([`AdmissionQueue::try_submit`] only —
-    /// the blocking [`AdmissionQueue::submit`] waits instead).
-    Full,
     /// The query was shed by cost-aware admission
     /// ([`AdmissionQueue::submit_or_shed`]): its deadline had already
     /// expired at submission, or the queue was full and the backlog made
@@ -119,7 +116,6 @@ impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SubmitError::Closed => write!(f, "admission queue is closed"),
-            SubmitError::Full => write!(f, "admission queue is full"),
             SubmitError::Shed => write!(f, "query shed: deadline infeasible under current load"),
             SubmitError::Injected => write!(f, "submission rejected by fault injection"),
         }
@@ -359,24 +355,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Non-blocking admission: errors with [`SubmitError::Full`] instead of
-    /// waiting when the queue is at capacity.
-    pub fn try_submit(
-        &self,
-        query: Graph,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket, SubmitError> {
-        let mut state = self.lock();
-        if state.closed {
-            return Err(SubmitError::Closed);
-        }
-        if state.pending.len() >= self.capacity {
-            return Err(SubmitError::Full);
-        }
-        self.check_injected(&state)?;
-        Ok(Self::admit(&mut state, IngestOp::Query(query), deadline))
-    }
-
     /// Cost-aware admission: sheds ([`SubmitError::Shed`]) instead of
     /// queueing a query whose `deadline` cannot plausibly be met —
     /// because it has already expired at submission, or because the queue
@@ -534,22 +512,21 @@ mod tests {
         assert_eq!(queue.submit(q("c"), None).unwrap(), 2);
     }
 
-    #[test]
-    fn try_submit_sheds_load_at_capacity() {
-        let queue = AdmissionQueue::new(ServiceOptions::new().queue_capacity(2));
-        queue.try_submit(q("a"), None).unwrap();
-        queue.try_submit(q("b"), None).unwrap();
-        assert_eq!(queue.try_submit(q("c"), None), Err(SubmitError::Full));
-        queue.drain_pending();
-        assert!(queue.try_submit(q("c"), None).is_ok());
-    }
-
+    /// A zero capacity clamps to one: the first query is admitted, and a
+    /// second one finds the queue full — shed here, because a seeded cost
+    /// model makes its deadline infeasible, so nothing blocks.
     #[test]
     fn zero_capacity_clamps_to_one() {
         let queue = AdmissionQueue::new(ServiceOptions::new().queue_capacity(0));
         assert_eq!(queue.capacity(), 1);
-        queue.try_submit(q("a"), None).unwrap();
-        assert_eq!(queue.try_submit(q("b"), None), Err(SubmitError::Full));
+        queue.cost_model().seed(Duration::from_millis(10));
+        queue.submit(q("a"), None).unwrap();
+        let tight = Instant::now() + Duration::from_millis(1);
+        assert_eq!(
+            queue.submit_or_shed(q("b"), Some(tight)),
+            Err(SubmitError::Shed)
+        );
+        assert_eq!(queue.len(), 1);
     }
 
     #[test]
@@ -613,8 +590,9 @@ mod tests {
         let queue = AdmissionQueue::new(ServiceOptions::new().queue_capacity(4));
         queue.close();
         assert_eq!(queue.submit(q("a"), None), Err(SubmitError::Closed));
-        assert_eq!(queue.try_submit(q("b"), None), Err(SubmitError::Closed));
-        assert_eq!(queue.submit_or_shed(q("c"), None), Err(SubmitError::Closed));
+        assert_eq!(queue.submit_or_shed(q("b"), None), Err(SubmitError::Closed));
+        assert_eq!(queue.submit_insert(q("c")), Err(SubmitError::Closed));
+        assert_eq!(queue.submit_remove(0), Err(SubmitError::Closed));
         assert_eq!(queue.admitted(), 0);
         assert!(queue.is_empty());
     }
@@ -626,10 +604,9 @@ mod tests {
     fn deadline_already_expired_at_submit() {
         let queue = AdmissionQueue::new(ServiceOptions::new().queue_capacity(4));
         let past = Instant::now() - Duration::from_secs(1);
-        // The non-shedding paths admit: deadline enforcement happens at
-        // claim time in the wave.
+        // The plain path admits: deadline enforcement happens at claim
+        // time in the wave.
         assert!(queue.submit(q("a"), Some(past)).is_ok());
-        assert!(queue.try_submit(q("b"), Some(past)).is_ok());
         // The cost-aware path refuses to burn a slot on a hopeless query —
         // even with a cold cost model (expiry needs no estimate).
         assert_eq!(
@@ -637,9 +614,9 @@ mod tests {
             Err(SubmitError::Shed)
         );
         assert_eq!(queue.shed_queries(), 1);
-        assert_eq!(queue.len(), 2);
+        assert_eq!(queue.len(), 1);
         // Shedding does not consume a ticket: the space stays dense.
-        assert_eq!(queue.submit(q("d"), None), Ok(2));
+        assert_eq!(queue.submit(q("d"), None), Ok(1));
     }
 
     #[test]

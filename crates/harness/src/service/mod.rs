@@ -112,8 +112,8 @@ pub use cache::{answer_memo_key, AnswerEntry, AnswerMemo, CachePolicy, FeatureCa
 pub use fault::{silence_injected_panics, FaultPlan, FaultSpec, InjectedPanic};
 pub use options::ServiceOptions;
 pub use sharded::{
-    partition_dataset, RetryPolicy, ShardPart, ShardStrategy, ShardedQueryRecord, ShardedReport,
-    ShardedService,
+    partition_dataset, ShardPart, ShardStrategy, ShardedQueryRecord, ShardedReport, ShardedService,
+    RETRY_ROUNDS,
 };
 pub use stages::{QueryOutcome, QueryRecord};
 pub use synopsis::{Router, RoutingMode};

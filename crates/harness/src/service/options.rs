@@ -19,7 +19,7 @@
 
 use super::cache::CachePolicy;
 use super::fault::FaultPlan;
-use super::sharded::{RetryPolicy, ShardStrategy};
+use super::sharded::ShardStrategy;
 use super::synopsis::RoutingMode;
 use std::sync::Arc;
 
@@ -48,8 +48,6 @@ pub struct ServiceOptions {
     pub strategy: ShardStrategy,
     /// Shard routing: full fan-out or synopsis-based selective probing.
     pub routing: RoutingMode,
-    /// Deadline-budgeted retry of failed shard probes.
-    pub retry: RetryPolicy,
     /// The two-level cross-query cache (disabled by default).
     pub cache: CachePolicy,
     /// Capacity of an [`super::admission::AdmissionQueue`] built from
@@ -68,7 +66,6 @@ impl Default for ServiceOptions {
             shards: 1,
             strategy: ShardStrategy::default(),
             routing: RoutingMode::Fanout,
-            retry: RetryPolicy::default(),
             cache: CachePolicy::disabled(),
             queue_capacity: 64,
             faults: None,
@@ -77,8 +74,8 @@ impl Default for ServiceOptions {
 }
 
 impl ServiceOptions {
-    /// The default options: one worker, one shard, fan-out routing, the
-    /// default retry budget, caching disabled.
+    /// The default options: one worker, one shard, fan-out routing,
+    /// caching disabled.
     pub fn new() -> Self {
         ServiceOptions::default()
     }
@@ -112,12 +109,6 @@ impl ServiceOptions {
     /// Sets the shard routing mode.
     pub fn routing(mut self, routing: RoutingMode) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Sets the retry policy for failed shard probes.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 

@@ -1,6 +1,7 @@
 //! The wave merge state machine: one [`Flight`] per query, folded from
 //! the [`WaveEvent`]s the shard executors stream back, with heap-scheduled
-//! retries ([`RetryPolicy`]) and per-query deadline abandonment.
+//! retries (at most [`RETRY_ROUNDS`] per probe) and per-query deadline
+//! abandonment.
 //! `ShardedService::run_wave_inner` is the driver; every state transition
 //! lives here.
 
@@ -18,63 +19,23 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Bounded retry with exponential backoff for *failed* per-shard
-/// executions (panics, dead pools — transient by assumption until the
-/// bound is spent). Timed-out shards are never retried: their budget is
-/// already gone by definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retry rounds per wave (0 disables retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry round; doubles every round.
-    pub backoff: Duration,
-}
+/// Retry rounds a failed `(query, shard)` probe gets — panics and dead
+/// pools, transient by assumption until the rounds are spent. Timed-out
+/// probes are never retried: their budget is already gone by definition.
+pub const RETRY_ROUNDS: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_micros(500),
-        }
-    }
-}
+/// Backoff before the first retry round; it doubles every round.
+const RETRY_BACKOFF: Duration = Duration::from_micros(500);
 
-impl RetryPolicy {
-    /// A policy that never retries (failures surface immediately).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// The backoff before retry round `round`. Saturates instead of
-    /// panicking: the doubling factor saturates at `u32::MAX` and the
-    /// multiplication at `Duration::MAX`, so adversarial-but-legal
-    /// policies (a large base backoff with a deep retry budget) degrade
-    /// to "never fits the deadline" instead of crashing the wave.
-    fn backoff_for(&self, round: u32) -> Duration {
-        self.backoff
-            .checked_mul(2u32.saturating_pow(round))
-            .unwrap_or(Duration::MAX)
-    }
-
-    /// When retry round `round` may run, or `None` when it may not: the
-    /// backoff is capped by the query's remaining deadline budget (a
-    /// retry scheduled at or past the deadline could only produce a
-    /// timed-out probe), and without a deadline a backoff too large to
-    /// land on the monotonic clock at all is refused rather than
-    /// overflowing the `Instant` addition.
-    fn retry_at(&self, round: u32, now: Instant, deadline: Option<Instant>) -> Option<Instant> {
-        let backoff = self.backoff_for(round);
-        match deadline {
-            Some(d) => {
-                let remaining = d.saturating_duration_since(now);
-                (backoff < remaining).then(|| now + backoff)
-            }
-            None => now.checked_add(backoff),
-        }
-    }
+/// When retry round `round` (< [`RETRY_ROUNDS`]) may run, or `None` when it
+/// may not: a retry scheduled at or past the query's deadline could only
+/// produce a timed-out probe, so a backoff that does not fit the remaining
+/// budget is refused.
+fn retry_at(round: u32, now: Instant, deadline: Option<Instant>) -> Option<Instant> {
+    let backoff = RETRY_BACKOFF * (1 << round);
+    deadline
+        .is_none_or(|d| backoff < d.saturating_duration_since(now))
+        .then(|| now + backoff)
 }
 
 /// One query's in-flight state while its wave is being merged.
@@ -116,7 +77,6 @@ pub(super) struct WaveMerge<'w> {
     retry_heap: BinaryHeap<Reverse<(Instant, usize, usize)>>,
     /// Flights not yet finalized — the driver loop's exit condition.
     remaining: usize,
-    retry: RetryPolicy,
     wave_started: Instant,
     admission_wait_s: Option<&'w [f64]>,
     shards: &'w [Shard],
@@ -130,12 +90,7 @@ pub(super) struct WaveMerge<'w> {
 impl<'w> WaveMerge<'w> {
     /// Opens one flight per query of `wave`. `plan[s]` lists the wave
     /// indices shard `s` will be asked about; nothing is dispatched yet.
-    pub(super) fn new(
-        shards: &'w [Shard],
-        retry: RetryPolicy,
-        wave: &Wave<'w>,
-        plan: &[Vec<usize>],
-    ) -> Self {
+    pub(super) fn new(shards: &'w [Shard], wave: &Wave<'w>, plan: &[Vec<usize>]) -> Self {
         let mut probes_of = vec![0usize; wave.queries.len()];
         for &qi in plan.iter().flatten() {
             probes_of[qi] += 1;
@@ -176,7 +131,6 @@ impl<'w> WaveMerge<'w> {
             rounds: HashMap::new(),
             retry_heap: BinaryHeap::new(),
             remaining: wave.queries.len(),
-            retry,
             wave_started: Instant::now(),
             admission_wait_s: wave.admission_wait_s,
             shards,
@@ -399,8 +353,8 @@ impl<'w> WaveMerge<'w> {
     fn fail_probe(&mut self, qi: usize, shard: usize, now: Instant) {
         let flight = &mut self.flights[qi];
         let round = self.rounds.entry((qi, shard)).or_insert(0);
-        if *round < self.retry.max_retries {
-            if let Some(due) = self.retry.retry_at(*round, now, flight.deadline) {
+        if *round < RETRY_ROUNDS {
+            if let Some(due) = retry_at(*round, now, flight.deadline) {
                 *round += 1;
                 flight.pending_retries += 1;
                 self.retry_heap.push(Reverse((due, qi, shard)));
@@ -591,104 +545,111 @@ mod tests {
         }
     }
 
-    /// `RetryPolicy::none()` surfaces the failure immediately — no retry
-    /// rounds, no hidden sleeps. Budget 2 = both shards' initial probe, so
-    /// every probe of query 0 fails and no partial answer survives (a
-    /// single-shard panic would instead degrade to the other shard's
-    /// sound partial union).
+    /// The retry budget at its boundary, one row per case. The test itself
+    /// never sleeps; the merge's own backoffs add at most 1.5 ms a row.
+    /// Panic budgets are per ticket and shared by every shard that probes
+    /// it, so which shard absorbs them is a race: the exact rows run one
+    /// shard, and the two-shard row panics on every attempt of both.
     #[test]
-    fn disabled_retry_fails_fast() {
+    fn retry_budget_boundary() {
+        struct Row {
+            case: &'static str,
+            shards: usize,
+            panics: u32,
+            deadline: Option<Duration>,
+            outcomes: &'static [QueryOutcome],
+            retries: u32,
+        }
+        const COMPLETE: &[QueryOutcome] = &[QueryOutcome::Complete];
+        const FAILED: &[QueryOutcome] = &[QueryOutcome::Failed];
+        let rows = [
+            Row {
+                case: "no panic",
+                shards: 1,
+                panics: 0,
+                deadline: None,
+                outcomes: COMPLETE,
+                retries: 0,
+            },
+            Row {
+                case: "as many panics as the budget absorbs heal",
+                shards: 1,
+                panics: RETRY_ROUNDS,
+                deadline: None,
+                outcomes: COMPLETE,
+                retries: RETRY_ROUNDS,
+            },
+            Row {
+                case: "one panic more fails",
+                shards: 1,
+                panics: RETRY_ROUNDS + 1,
+                deadline: None,
+                outcomes: FAILED,
+                retries: RETRY_ROUNDS,
+            },
+            Row {
+                case: "every attempt of both shards panics",
+                shards: 2,
+                panics: 2 * (RETRY_ROUNDS + 1),
+                deadline: None,
+                outcomes: FAILED,
+                retries: 2 * RETRY_ROUNDS,
+            },
+            // `TimedOut` when the worker claims the query after its
+            // deadline; either way no retry is scheduled.
+            Row {
+                case: "a deadline shorter than the first backoff",
+                shards: 1,
+                panics: 1,
+                deadline: Some(RETRY_BACKOFF / 2),
+                outcomes: &[QueryOutcome::Failed, QueryOutcome::TimedOut],
+                retries: 0,
+            },
+        ];
         silence_injected_panics();
-        let (ds, queries) = setup(12, 3);
-        let refs: Vec<&Graph> = queries.iter().collect();
-        let plan = Arc::new(FaultPlan::new().panic_in_verify(0, 2));
-        let mut service = ShardedService::new(
-            MethodKind::Ggsx,
-            &MethodConfig::fast(),
-            &ds,
-            ServiceOptions::new()
-                .shards(2)
-                .retry(RetryPolicy::none())
-                .faults(plan),
-        );
-        let report = service.run_wave(&refs, None);
-        assert_eq!(report.records[0].outcome, QueryOutcome::Failed);
-        assert_eq!(report.records[0].retries, 0);
-        assert_eq!(report.retries(), 0);
-    }
-
-    /// Headline regression: the backoff schedule saturates on adversarial
-    /// but legal policies instead of panicking. The old wave thread
-    /// computed `backoff * 2u32.saturating_pow(round)` with `Duration *
-    /// u32` (panics on overflow) and added the result to an `Instant`
-    /// unchecked.
-    #[test]
-    fn adversarial_retry_policies_saturate_instead_of_panicking() {
-        let policy = RetryPolicy {
-            max_retries: 40,
-            backoff: Duration::from_secs(1),
-        };
-        assert_eq!(policy.backoff_for(0), Duration::from_secs(1));
-        assert_eq!(policy.backoff_for(31), Duration::from_secs(1 << 31));
-        // The doubling factor saturates at u32::MAX past round 31.
-        assert_eq!(policy.backoff_for(39), Duration::from_secs(u32::MAX as u64));
-        let huge = RetryPolicy {
-            max_retries: u32::MAX,
-            backoff: Duration::MAX,
-        };
-        // The multiplication saturates at Duration::MAX.
-        assert_eq!(huge.backoff_for(0), Duration::MAX);
-        assert_eq!(huge.backoff_for(u32::MAX), Duration::MAX);
+        let (ds, queries) = setup(12, 1);
+        let expected = build_index(MethodKind::Ggsx, &MethodConfig::fast(), &ds)
+            .query(&ds, &queries[0])
+            .answers;
+        for row in rows {
+            let plan = Arc::new(FaultPlan::new().panic_in_verify(0, row.panics));
+            let mut service = ShardedService::new(
+                MethodKind::Ggsx,
+                &MethodConfig::fast(),
+                &ds,
+                ServiceOptions::new()
+                    .shards(row.shards)
+                    .faults(Arc::clone(&plan)),
+            );
+            let deadline = row.deadline.map(|budget| Instant::now() + budget);
+            let record = &service.run_wave(&[&queries[0]], deadline).records[0];
+            let case = row.case;
+            assert!(
+                row.outcomes.contains(&record.outcome),
+                "{case}: {:?}",
+                record.outcome
+            );
+            assert_eq!(record.retries, row.retries, "{case}: retries");
+            if row.deadline.is_none() {
+                assert_eq!(plan.injected_panics(), u64::from(row.panics), "{case}");
+            }
+            if record.outcome == QueryOutcome::Complete {
+                assert_eq!(record.answers, expected, "{case}: answers");
+            } else {
+                assert!(record.answers.is_empty(), "{case}: answers");
+            }
+        }
+        // The schedule itself, at a fixed instant: 500 µs, then 1 ms, each
+        // refused once it no longer fits strictly inside the deadline.
         let now = Instant::now();
-        // A backoff that exceeds the remaining deadline budget is refused.
-        let deadline = Some(now + Duration::from_secs(5));
-        assert_eq!(policy.retry_at(39, now, deadline), None);
+        let at = |round, budget: Option<Duration>| retry_at(round, now, budget.map(|b| now + b));
+        assert_eq!(at(0, None), Some(now + RETRY_BACKOFF));
+        assert_eq!(at(1, None), Some(now + 2 * RETRY_BACKOFF));
+        assert_eq!(at(0, Some(RETRY_BACKOFF)), None);
         assert_eq!(
-            policy.retry_at(0, now, deadline),
-            Some(now + Duration::from_secs(1))
+            at(0, Some(RETRY_BACKOFF + Duration::from_nanos(1))),
+            Some(now + RETRY_BACKOFF)
         );
-        // Without a deadline, a backoff too large for the monotonic clock
-        // is refused instead of overflowing the `Instant` addition.
-        assert_eq!(huge.retry_at(0, now, None), None);
-        assert_eq!(
-            policy.retry_at(0, now, None),
-            Some(now + Duration::from_secs(1))
-        );
-    }
-
-    /// Headline regression, end to end: `backoff: 1s, max_retries: 40` —
-    /// the ISSUE repro — against a permanently panicking query finishes
-    /// promptly. Every retry whose backoff cannot fit the deadline budget
-    /// is refused up front, so the wave neither panics nor sleeps through
-    /// 40 doubling rounds.
-    #[test]
-    fn overflow_prone_retry_policy_completes_without_panic() {
-        silence_injected_panics();
-        let (ds, queries) = setup(12, 3);
-        let refs: Vec<&Graph> = queries.iter().collect();
-        let plan = Arc::new(FaultPlan::new().panic_in_verify(0, 1000));
-        let mut service = ShardedService::new(
-            MethodKind::Ggsx,
-            &MethodConfig::fast(),
-            &ds,
-            ServiceOptions::new()
-                .shards(2)
-                .retry(RetryPolicy {
-                    max_retries: 40,
-                    backoff: Duration::from_secs(1),
-                })
-                .faults(Arc::clone(&plan)),
-        );
-        let started = Instant::now();
-        let report = service.run_wave(&refs, Some(started + Duration::from_millis(250)));
-        assert!(
-            started.elapsed() < Duration::from_secs(20),
-            "wave must not sleep through doubling backoff rounds"
-        );
-        // The 1s first-round backoff never fits the 250ms budget: the
-        // poisoned query fails without a single retry, the rest complete.
-        assert_eq!(report.records[0].outcome, QueryOutcome::Failed);
-        assert_eq!(report.records[0].retries, 0);
-        assert_eq!(report.complete(), queries.len() - 1);
+        assert_eq!(at(1, Some(2 * RETRY_BACKOFF)), None);
     }
 }

@@ -63,7 +63,7 @@ mod partition;
 #[cfg(test)]
 mod tests;
 
-pub use merge::RetryPolicy;
+pub use merge::RETRY_ROUNDS;
 pub use partition::{partition_dataset, ShardPart, ShardStrategy};
 
 use super::admission::{AdmissionQueue, AdmittedQuery, IngestOp, Ticket};
@@ -284,7 +284,6 @@ pub struct ShardedService {
     strategy: ShardStrategy,
     routing: RoutingMode,
     router: Router,
-    retry: RetryPolicy,
     /// The whole-answer memo (no feature level — those are per shard),
     /// probed at admission before any shard is touched. Service-level
     /// because its entries are *merged global* answers.
@@ -337,7 +336,6 @@ impl ShardedService {
             strategy: opts.strategy,
             routing: opts.routing,
             router,
-            retry: opts.retry,
             caches: CacheLevels::new(CachePolicy {
                 feature_capacity: 0,
                 ..opts.cache
@@ -449,7 +447,7 @@ impl ShardedService {
         // Widen the routing tier before the graph moves into the shard:
         // `insert_graph` holds `&mut self`, so no wave can observe the
         // widened router ahead of the actual insert.
-        self.router.absorb(shard_idx, &graph, &synopsis);
+        self.router.absorb(shard_idx, &synopsis);
         {
             let mut core = self.shards[shard_idx].lock();
             // The index assigns the same local id the dataset push does:
@@ -469,15 +467,15 @@ impl ShardedService {
     /// Removes the graph with global id `global_id` online: tombstones it
     /// in its shard's dataset and index (ids stay dense; payload
     /// compaction is lazy), takes it back out of that shard's routing
-    /// synopsis and fingerprint, and **invalidates every cache**. Returns
-    /// `false` when the id is unknown or already removed.
+    /// synopsis, and **invalidates every cache**. Returns `false` when the
+    /// id is unknown or already removed.
     ///
     /// The routing tier pays for the one graph being removed — its
-    /// synopsis and short paths, through [`Router::retract`] — never for a
-    /// pass over the shard, and what it leaves is exactly what rebuilding
-    /// the router over the shard's live graphs would compute (see
-    /// [`Router`]): bounds and bits the victim alone witnessed are gone,
-    /// everything a live graph needs is still there.
+    /// synopsis, through [`Router::retract`] — never for a pass over the
+    /// shard, and what it leaves is exactly what rebuilding the router
+    /// over the shard's live graphs would compute (see [`Router`]): bounds
+    /// the victim alone witnessed are gone, everything a live graph needs
+    /// is still there.
     pub fn remove_graph(&mut self, global_id: GraphId) -> bool {
         for s in 0..self.shards.len() {
             let mut core = self.shards[s].lock();
@@ -495,7 +493,7 @@ impl ShardedService {
                 "dataset and index tombstones diverged"
             );
             drop(core);
-            self.router.retract(s, &victim, &GraphSynopsis::of(&victim));
+            self.router.retract(s, &GraphSynopsis::of(&victim));
             self.invalidate_caches();
             return true;
         }
@@ -668,7 +666,7 @@ impl ShardedService {
         for slot in plan.iter_mut().flatten() {
             *slot = admission.misses[*slot];
         }
-        let mut merge = WaveMerge::new(&self.shards, self.retry, &wave, &plan);
+        let mut merge = WaveMerge::new(&self.shards, &wave, &plan);
         for (qi, entry, probe_s) in &admission.hits {
             merge.serve_from_memo(*qi, entry, *probe_s);
         }

@@ -8,38 +8,29 @@
 //! a rebuild at the end of every round-robin ingest script). This suite
 //! keeps the router's own contract, without a service around it: it keeps
 //! itself current per insert and per remove without rescanning a shard,
-//! and after any interleaving every shard's synopsis and fingerprint
-//! *equal* what `Router::build` computes from the shard's live graphs.
+//! and after any interleaving every shard's synopsis *equals* what
+//! `Router::build` computes from the shard's live graphs.
 
 use proptest::prelude::*;
 use sqbench_generator::{GraphGen, GraphGenConfig, RealDataset};
 use sqbench_graph::{Dataset, Graph, GraphId, GraphSynopsis, ShardSynopsis};
 use sqbench_harness::service::Router;
 
-/// Every shard's incrementally maintained `(ShardSynopsis, Fingerprint)`
-/// must **equal** what `Router::build` computes from the shard's live
-/// graphs, and what the rescan oracle pair does — all fields, the
-/// live-graph count included.
+/// Every shard's incrementally maintained `ShardSynopsis` must **equal**
+/// what `Router::build` computes from the shard's live graphs (the rescan
+/// `ShardSynopsis::of`) — all fields, the live-graph count included.
 fn assert_router_equals_rebuild(router: &Router, shards: &[Dataset], context: &str) {
     assert_eq!(router.shard_count(), shards.len());
     let rebuilt = Router::build(shards.iter());
     for (s, live) in shards.iter().enumerate() {
-        let (synopsis, fingerprint) = (router.synopsis(s), router.fingerprint(s));
+        let synopsis = router.synopsis(s);
         assert_eq!(synopsis, rebuilt.synopsis(s), "{context}: shard {s}");
-        assert_eq!(fingerprint, rebuilt.fingerprint(s), "{context}: shard {s}");
-        assert_eq!(synopsis, &ShardSynopsis::of(live), "{context}: shard {s}");
-        assert_eq!(
-            fingerprint,
-            &Router::shard_fingerprint(live),
-            "{context}: shard {s}"
-        );
         assert_eq!(synopsis.graphs, live.live_len(), "{context}: shard {s}");
     }
 }
 
 /// Sparse many-label molecules next to dense few-label synthetic graphs:
-/// between them they exercise wide label maps, long degree histograms and
-/// crowded fingerprints.
+/// between them they exercise wide label maps and long degree histograms.
 fn router_pool(seed: u64) -> Vec<Graph> {
     let aids = RealDataset::Aids.generate_with(12.0 / 40_000.0, 0.4, seed);
     let synthetic = GraphGen::new(
@@ -82,11 +73,11 @@ impl RouterScript {
         match self.home[i].take() {
             Some((s, local)) => {
                 assert!(self.shards[s].remove(local));
-                self.router.retract(s, g, &GraphSynopsis::of(g));
+                self.router.retract(s, &GraphSynopsis::of(g));
             }
             None => {
                 self.home[i] = Some((shard, self.shards[shard].push(g.clone())));
-                self.router.absorb(shard, g, &GraphSynopsis::of(g));
+                self.router.absorb(shard, &GraphSynopsis::of(g));
             }
         }
         assert_router_equals_rebuild(&self.router, &self.shards, context);
@@ -100,8 +91,8 @@ proptest! {
     /// script of absorbs and retracts leaves every shard equal to a rebuild
     /// over its live graphs after **every** step, and retracting everything
     /// — which removes, one by one, each shard's maximum-degree graph and
-    /// the sole holders of its labels, label pairs and fingerprint bits —
-    /// ends at the empty synopsis and the all-zero fingerprint.
+    /// the sole holders of its labels and label pairs — ends at the empty
+    /// synopsis.
     #[test]
     fn incremental_router_equals_rebuild(
         seed in 0u64..500,
@@ -125,14 +116,13 @@ proptest! {
         }
         for s in 0..SHARDS {
             prop_assert_eq!(state.router.synopsis(s), &ShardSynopsis::default());
-            prop_assert_eq!(state.router.fingerprint(s).count_ones(), 0);
         }
         // Per shard, not per graph: absorbing the whole pool twenty times
         // over costs what absorbing it once does.
         let mut bytes = Vec::new();
         for _ in 0..20 {
             for g in &state.pool {
-                state.router.absorb(0, g, &GraphSynopsis::of(g));
+                state.router.absorb(0, &GraphSynopsis::of(g));
             }
             bytes.push(state.router.memory_bytes());
         }

@@ -22,12 +22,7 @@ proptest! {
     /// family count (here 3 shards over 4 families — round-robin smears
     /// every family across every shard), label-aware placement must let
     /// synopsis routing probe strictly fewer shards than round-robin,
-    /// while answering exactly. Pinned to [`RoutingMode::Synopsis`]
-    /// (bounds only) deliberately: fingerprint refutation can rescue even a
-    /// smeared round-robin placement (content bits refute shards that
-    /// bounds admit), which is a feature of
-    /// [`RoutingMode::SynopsisFingerprint`] — this test isolates what
-    /// *placement* buys the bound checks.
+    /// while answering exactly.
     #[test]
     fn label_aware_placement_beats_round_robin_on_interleaved_ingest(
         seed in 0u64..200,

@@ -27,8 +27,8 @@ use sqbench_generator::{label_clustered, GraphGen, GraphGenConfig, QueryGen, Rea
 use sqbench_graph::{Dataset, Graph, GraphId};
 use sqbench_harness::service::{
     partition_dataset, silence_injected_panics, AdmissionQueue, CachePolicy, FaultPlan, FaultSpec,
-    QueryOutcome, QueryService, RetryPolicy, Router, RoutingMode, ServiceOptions, ShardStrategy,
-    ShardedQueryRecord, ShardedService,
+    QueryOutcome, QueryService, Router, RoutingMode, ServiceOptions, ShardStrategy,
+    ShardedQueryRecord, ShardedService, RETRY_ROUNDS,
 };
 use sqbench_index::{build_index, exhaustive_answers, MethodConfig, MethodKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -71,10 +71,11 @@ enum Script {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Faults {
     None,
-    /// Seeded verify panics, healed by two retry rounds.
+    /// Seeded verify panics, healed within the retry budget.
     PanicRetry,
-    /// Seeded verify panics, never retried.
-    PanicNoRetry,
+    /// Seeded verify panics on every attempt the retry budget allows a
+    /// ticket's first wave, on every shard it probes: the ticket fails.
+    PanicPastBudget,
     /// The first shard the first wave probes stalls well past a tight
     /// deadline.
     StalledShard,
@@ -122,18 +123,14 @@ const METHODS: [MethodKind; 7] = [
 ];
 const ENTRIES: [Entry; 4] = [Entry::OneShot, Entry::Batch, Entry::Wave, Entry::Drain];
 const SHARDS: [usize; 4] = [1, 2, 4, 7];
-const ROUTINGS: [RoutingMode; 3] = [
-    RoutingMode::Fanout,
-    RoutingMode::Synopsis,
-    RoutingMode::SynopsisFingerprint,
-];
+const ROUTINGS: [RoutingMode; 2] = [RoutingMode::Fanout, RoutingMode::Synopsis];
 const CACHES: [bool; 2] = [false, true];
 const WORKERS: [usize; 3] = [1, 2, 4];
 const SCRIPTS: [Script; 3] = [Script::ReadsOnly, Script::Churn, Script::RemovalHeavy];
 const FAULTS: [Faults; 5] = [
     Faults::None,
     Faults::PanicRetry,
-    Faults::PanicNoRetry,
+    Faults::PanicPastBudget,
     Faults::StalledShard,
     Faults::ExpiredDeadline,
 ];
@@ -332,14 +329,6 @@ impl Cell {
     }
 
     fn options(&self) -> ServiceOptions {
-        let retry = match self.faults_and_deadline {
-            Faults::PanicRetry => RetryPolicy {
-                max_retries: 2,
-                backoff: Duration::from_micros(100),
-            },
-            Faults::PanicNoRetry => RetryPolicy::none(),
-            _ => RetryPolicy::default(),
-        };
         let cache = if self.cache {
             CachePolicy::enabled()
         } else {
@@ -350,7 +339,6 @@ impl Cell {
             .strategy(self.strategy)
             .routing(self.routing)
             .workers(self.workers)
-            .retry(retry)
             .cache(cache)
     }
 
@@ -368,16 +356,23 @@ impl Cell {
 
     /// The fault plan armed for the cell's service: panics on seeded
     /// tickets of the first wave, or a stall of the first shard it probes.
+    /// A ticket's panics are shared by the shards that probe it, so at most
+    /// `RETRY_ROUNDS` of them always heal, and one initial attempt plus
+    /// `RETRY_ROUNDS` retries per shard always fail.
     fn fault_plan(&self, fx: &Fixture) -> Option<Arc<FaultPlan>> {
         let seed = self.seed();
+        let panic_times = match self.faults_and_deadline {
+            Faults::PanicPastBudget => (1 + RETRY_ROUNDS) * self.shards as u32,
+            _ => 1 + (seed >> 8) as u32 % RETRY_ROUNDS,
+        };
         let plan = match self.faults_and_deadline {
-            Faults::PanicRetry | Faults::PanicNoRetry => FaultPlan::seeded(
+            Faults::PanicRetry | Faults::PanicPastBudget => FaultPlan::seeded(
                 seed,
                 &FaultSpec {
                     tickets: fx.queries.len() as u64,
                     shards: self.shards as u64,
                     panic_queries: 1 + (seed % 2) as usize,
-                    panic_times: 1 + (seed >> 8) as u32 % 2,
+                    panic_times,
                     stalled_shards: 0,
                     stall: Duration::ZERO,
                     admission_failures: 0,
@@ -618,7 +613,8 @@ fn check(cell: &Cell) {
 /// outcome contract: `Complete` answers are the truth, `Degraded` ones a
 /// sorted part of it, `TimedOut` / `Failed` answer nothing, and nothing is
 /// `Shed` without an admission door. Faults and deadlines hit the first
-/// cold pass; every other pass must complete unless panics go unretried.
+/// cold pass; every other pass must complete unless panics outlast the
+/// retry budget.
 fn judge_pass<'a>(
     cell: &Cell,
     fx: &Fixture,
@@ -632,7 +628,7 @@ fn judge_pass<'a>(
             (Faults::ExpiredDeadline, true) => {
                 assert_eq!(outcome, QueryOutcome::TimedOut, "{at}: expired deadline")
             }
-            (Faults::PanicNoRetry, _) => {
+            (Faults::PanicPastBudget, _) => {
                 assert_ne!(outcome, QueryOutcome::TimedOut, "{at}: no deadline was set")
             }
             (Faults::StalledShard, true) => {}
@@ -756,7 +752,7 @@ fn check_on_service(cell: &Cell, fx: &Fixture) {
     // Drain cells: the writes queued since the last drain — all of them,
     // the inserts, and the removes the mirror accepted — and every ticket.
     let (mut writes, mut inserts, mut removes, mut tickets) = (0, 0, 0, Vec::new());
-    let (mut read, mut mutated) = (0, false);
+    let (mut read, mut mutated, mut failed) = (0, false, 0);
     for (step_no, step) in fx.steps.iter().enumerate() {
         match step {
             Step::Insert(g) => {
@@ -816,6 +812,10 @@ fn check_on_service(cell: &Cell, fx: &Fixture) {
                         let probed: usize = reads.iter().map(|r| r.shards_probed).sum();
                         assert_eq!(served as usize, probed, "read {read} pass {pass}");
                     }
+                    failed += reads
+                        .iter()
+                        .filter(|r| r.outcome == QueryOutcome::Failed)
+                        .count();
                     let served = reads
                         .iter()
                         .map(|r| (r.outcome, &r.answers[..], r.candidate_count));
@@ -830,6 +830,10 @@ fn check_on_service(cell: &Cell, fx: &Fixture) {
         (Some(plan), Faults::StalledShard) => assert_eq!(plan.injected_stalls(), 1),
         (Some(plan), _) => assert!(plan.injected_panics() >= 1, "the panic plan never fired"),
         (None, _) => {}
+    }
+    match cell.faults_and_deadline {
+        Faults::PanicPastBudget => assert!(failed >= 1, "no ticket outlasted the retry budget"),
+        _ => assert_eq!(failed, 0, "a query failed with no panic past the budget"),
     }
     if cell.cache {
         assert!(
@@ -846,11 +850,10 @@ fn check_on_service(cell: &Cell, fx: &Fixture) {
     }
 }
 
-/// Per read record: probes partition the shards, the fingerprint tier
-/// prunes at least what the bounds do, a record that was not memo-served
-/// probed exactly what the router plans, and on unmutated label-skewed
-/// round-robin data over 2 or 4 shards each query's family lives on one
-/// shard, so routing admits exactly one.
+/// Per read record: probes partition the shards, a record that was not
+/// memo-served probed exactly what the router plans, and on unmutated
+/// label-skewed round-robin data over 2 or 4 shards each query's family
+/// lives on one shard, so routing admits exactly one.
 fn check_routing(
     cell: &Cell,
     service: &ShardedService,
@@ -867,11 +870,7 @@ fn check_routing(
             .map(|qi| plan.iter().filter(|qs| qs.contains(&qi)).count())
             .collect::<Vec<_>>()
     };
-    let (bounds, fingerprint, planned) = (
-        admitted(RoutingMode::Synopsis),
-        admitted(RoutingMode::SynopsisFingerprint),
-        admitted(cell.routing),
-    );
+    let (bounds, planned) = (admitted(RoutingMode::Synopsis), admitted(cell.routing));
     let skewed = cell.dataset == Regime::LabelSkewed
         && cell.strategy == ShardStrategy::RoundRobin
         && matches!(cell.shards, 2 | 4)
@@ -882,10 +881,6 @@ fn check_routing(
             record.shards_probed + record.shards_skipped,
             cell.shards,
             "{at}"
-        );
-        assert!(
-            fingerprint[pos] <= bounds[pos],
-            "{at}: fingerprint admitted more"
         );
         if !(cell.cache && record.shards_probed == 0) {
             assert_eq!(record.shards_probed, planned[pos], "{at}: probes ≠ plan");
@@ -918,11 +913,6 @@ fn assert_router_equals_rebuild(service: &ShardedService, mirror: &Dataset) {
             router.synopsis(s),
             rebuilt.synopsis(s),
             "shard {s} synopsis"
-        );
-        assert_eq!(
-            router.fingerprint(s),
-            rebuilt.fingerprint(s),
-            "shard {s} fingerprint"
         );
     }
 }
