@@ -110,10 +110,45 @@ pub fn tree_key(tree: &Graph) -> FeatureKey {
         n - 1,
         "graph is not a tree (edge count mismatch)"
     );
-    let centers = tree_centers(tree);
-    let encoding = centers
-        .iter()
-        .map(|&c| ahu_encode(tree, c, usize::MAX))
+    let adjacency: Vec<&[VertexId]> = tree.vertices().map(|v| tree.neighbors(v)).collect();
+    ahu_key(tree.labels(), &adjacency)
+}
+
+/// [`tree_key`] of a tree given by its edges in the order it was grown:
+/// the first edge joins two vertices, and each later edge `(known, new)`
+/// hangs one vertex the earlier edges did not touch onto one they did (the
+/// shape [`for_each_subtree`](crate::subgraphs::for_each_subtree) reports).
+/// Skips building a [`Graph`] for each of the many small trees a dense
+/// graph holds.
+pub fn grown_tree_key(
+    edges: &[(VertexId, VertexId)],
+    label: impl Fn(VertexId) -> Label,
+) -> FeatureKey {
+    let Some(&(first, second)) = edges.first() else {
+        panic!("empty graph is not a tree");
+    };
+    // Local vertex k + 1 is the vertex the k-th edge brings in.
+    let mut hosts = vec![first, second];
+    let mut adjacency: Vec<Vec<VertexId>> = vec![vec![1], vec![0]];
+    for &(known, new) in &edges[1..] {
+        let parent = hosts
+            .iter()
+            .position(|&h| h == known)
+            .expect("each grown edge starts at a vertex already in the tree");
+        debug_assert!(!hosts.contains(&new), "a grown edge brings in a new vertex");
+        adjacency[parent].push(hosts.len());
+        adjacency.push(vec![parent]);
+        hosts.push(new);
+    }
+    let labels: Vec<Label> = hosts.into_iter().map(label).collect();
+    ahu_key(&labels, &adjacency)
+}
+
+/// The AHU key of the tree with these vertex labels and adjacency lists.
+fn ahu_key<A: AsRef<[VertexId]>>(labels: &[Label], adjacency: &[A]) -> FeatureKey {
+    let encoding = tree_centers(adjacency)
+        .into_iter()
+        .map(|c| ahu_encode(labels, adjacency, c, usize::MAX))
         .min()
         .expect("a tree has at least one center");
     FeatureKey(format!("T:{encoding}"))
@@ -149,12 +184,12 @@ fn join_labels(labels: &[Label]) -> String {
 
 /// The center vertex (or two center vertices) of a tree, found by repeatedly
 /// stripping leaves.
-fn tree_centers(tree: &Graph) -> Vec<VertexId> {
-    let n = tree.vertex_count();
+fn tree_centers<A: AsRef<[VertexId]>>(adjacency: &[A]) -> Vec<VertexId> {
+    let n = adjacency.len();
     if n == 1 {
         return vec![0];
     }
-    let mut degree: Vec<usize> = (0..n).map(|v| tree.degree(v)).collect();
+    let mut degree: Vec<usize> = adjacency.iter().map(|a| a.as_ref().len()).collect();
     let mut removed = vec![false; n];
     let mut leaves: Vec<VertexId> = (0..n).filter(|&v| degree[v] <= 1).collect();
     let mut remaining = n;
@@ -163,7 +198,7 @@ fn tree_centers(tree: &Graph) -> Vec<VertexId> {
         for &leaf in &leaves {
             removed[leaf] = true;
             remaining -= 1;
-            for &w in tree.neighbors(leaf) {
+            for &w in adjacency[leaf].as_ref() {
                 if !removed[w] {
                     degree[w] -= 1;
                     if degree[w] == 1 {
@@ -179,15 +214,20 @@ fn tree_centers(tree: &Graph) -> Vec<VertexId> {
 
 /// AHU encoding of the subtree rooted at `root`, where `parent` is the
 /// vertex we arrived from (`usize::MAX` for the actual root).
-fn ahu_encode(tree: &Graph, root: VertexId, parent: VertexId) -> String {
-    let mut child_encodings: Vec<String> = tree
-        .neighbors(root)
+fn ahu_encode<A: AsRef<[VertexId]>>(
+    labels: &[Label],
+    adjacency: &[A],
+    root: VertexId,
+    parent: VertexId,
+) -> String {
+    let mut child_encodings: Vec<String> = adjacency[root]
+        .as_ref()
         .iter()
         .filter(|&&w| w != parent)
-        .map(|&w| ahu_encode(tree, w, root))
+        .map(|&w| ahu_encode(labels, adjacency, w, root))
         .collect();
     child_encodings.sort();
-    format!("({}{})", tree.label(root), child_encodings.concat())
+    format!("({}{})", labels[root], child_encodings.concat())
 }
 
 /// Exact canonical string by minimizing over all vertex orderings that are

@@ -5,7 +5,8 @@
 //! built on the same primitive: enumerate every connected subset of up to
 //! `max_edges` edges of a graph, exactly once. This module provides that
 //! primitive plus the convenience wrapper that groups fragments by canonical
-//! key.
+//! key, and [`for_each_subtree`], the tree-only enumerator that reaches each
+//! subtree once without a dedup set.
 
 use crate::canonical::{graph_key, FeatureKey};
 use sqbench_graph::{Graph, VertexId};
@@ -51,6 +52,106 @@ pub fn for_each_connected_edge_subset<F>(
             &mut seen,
             &mut visit,
         );
+    }
+}
+
+/// Calls `visit` exactly once for every subtree of `1..=max_edges` edges of
+/// `g`. The tree's edges come in the order it was grown: the first is its
+/// lowest-numbered edge as `(u, v)` with `u < v`, and each later edge is
+/// `(known, new)`, hanging a vertex no earlier edge touched onto one an
+/// earlier edge did.
+///
+/// This is the ESU scheme (Wernicke 2006) over the line graph: a tree is
+/// grown only from its lowest edge, and an extension edge enters the
+/// candidate list only at the step that first reaches it, so no tree is
+/// reached twice and no dedup set is kept. On dense graphs that is most of
+/// the cost of [`for_each_connected_edge_subset`] with `acyclic_only`,
+/// which reaches each k-edge tree up to k! times.
+pub fn for_each_subtree<F>(g: &Graph, max_edges: usize, mut visit: F)
+where
+    F: FnMut(&[EdgeRef]),
+{
+    if max_edges == 0 {
+        return;
+    }
+    let edges: Vec<EdgeRef> = g.edges().collect();
+    let mut incident: Vec<Vec<usize>> = vec![Vec::new(); g.vertex_count()];
+    for (i, &(u, v)) in edges.iter().enumerate() {
+        incident[u].push(i);
+        incident[v].push(i);
+    }
+    let mut in_tree = vec![false; g.vertex_count()];
+    let mut tree: Vec<EdgeRef> = Vec::with_capacity(max_edges);
+    for (root, &(u, v)) in edges.iter().enumerate() {
+        tree.push((u, v));
+        in_tree[u] = true;
+        in_tree[v] = true;
+        visit(&tree);
+        let candidates = incident[u]
+            .iter()
+            .chain(&incident[v])
+            .copied()
+            .filter(|&e| e > root)
+            .collect();
+        let grower = SubtreeGrower {
+            edges: &edges,
+            incident: &incident,
+            root,
+            max_edges,
+        };
+        grower.grow(candidates, &mut tree, &mut in_tree, &mut visit);
+        in_tree[u] = false;
+        in_tree[v] = false;
+        tree.pop();
+    }
+}
+
+/// What stays fixed while [`for_each_subtree`] grows the trees rooted at
+/// one edge.
+struct SubtreeGrower<'a> {
+    edges: &'a [EdgeRef],
+    incident: &'a [Vec<usize>],
+    root: usize,
+    max_edges: usize,
+}
+
+impl SubtreeGrower<'_> {
+    fn grow<F>(
+        &self,
+        mut candidates: Vec<usize>,
+        tree: &mut Vec<EdgeRef>,
+        in_tree: &mut [bool],
+        visit: &mut F,
+    ) where
+        F: FnMut(&[EdgeRef]),
+    {
+        if tree.len() >= self.max_edges {
+            return;
+        }
+        while let Some(e) = candidates.pop() {
+            let (a, b) = self.edges[e];
+            let (known, new) = match (in_tree[a], in_tree[b]) {
+                (true, false) => (a, b),
+                (false, true) => (b, a),
+                // Both ends are in the tree: the edge would close a cycle,
+                // and so would every later step that kept it.
+                _ => continue,
+            };
+            // The edges at `new` whose far end is outside the tree first
+            // become reachable here; the others are already candidates or
+            // were passed over by an earlier branch.
+            let mut next = candidates.clone();
+            next.extend(self.incident[new].iter().copied().filter(|&f| {
+                let (x, y) = self.edges[f];
+                f > self.root && !in_tree[x + y - new]
+            }));
+            tree.push((known, new));
+            in_tree[new] = true;
+            visit(tree);
+            self.grow(next, tree, in_tree, visit);
+            in_tree[new] = false;
+            tree.pop();
+        }
     }
 }
 
@@ -212,6 +313,49 @@ mod tests {
         });
         // Path with 3 edges: subsets = 3 singles + 2 pairs + 1 triple = 6.
         assert_eq!(seen.len(), 6);
+    }
+
+    #[test]
+    fn subtrees_are_the_acyclic_connected_subsets_each_once() {
+        let k5 = GraphBuilder::new("k5")
+            .vertices(&[0, 1, 0, 1, 2])
+            .edges(&[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (0, 4),
+                (1, 2),
+                (1, 3),
+                (1, 4),
+                (2, 3),
+                (2, 4),
+                (3, 4),
+            ])
+            .build()
+            .unwrap();
+        for g in [triangle(), path4(), k5] {
+            for max_edges in 0..=5 {
+                let mut want = std::collections::BTreeSet::new();
+                for_each_connected_edge_subset(&g, max_edges, true, |edges| {
+                    want.insert(edges.to_vec());
+                });
+                let mut got = std::collections::BTreeSet::new();
+                for_each_subtree(&g, max_edges, |tree| {
+                    // Grown order: every edge after the first brings in
+                    // exactly one new vertex at its second end.
+                    for (k, &(known, new)) in tree.iter().enumerate().skip(1) {
+                        let earlier = &tree[..k];
+                        assert!(earlier.iter().any(|&(u, v)| u == known || v == known));
+                        assert!(earlier.iter().all(|&(u, v)| u != new && v != new));
+                    }
+                    let mut sorted: Vec<EdgeRef> =
+                        tree.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+                    sorted.sort_unstable();
+                    assert!(got.insert(sorted), "subtree {tree:?} visited twice");
+                });
+                assert_eq!(got, want, "max_edges {max_edges}");
+            }
+        }
     }
 
     #[test]
