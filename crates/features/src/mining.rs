@@ -20,7 +20,7 @@
 //! needs to reproduce.
 
 use crate::canonical::{graph_key, tree_key, FeatureKey};
-use crate::subgraphs::{for_each_connected_edge_subset, subgraph_from_edges};
+use crate::subgraphs::{for_each_connected_edge_subset, for_each_subtree, subgraph_from_edges};
 use sqbench_graph::{Dataset, Graph, GraphId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -129,16 +129,21 @@ impl FrequentMiner {
 
     /// Visits every fragment of a single graph with its canonical key — the
     /// one enumeration behind mining, online inserts and query processing.
+    /// Subtrees come from [`for_each_subtree`], which reaches each once;
+    /// their keys are canonical, so which of a key's fragments is seen
+    /// first does not matter.
     fn for_each_fragment(&self, g: &Graph, mut visit: impl FnMut(FeatureKey, Graph)) {
-        let acyclic_only = self.config.kind == FeatureKind::Tree;
-        for_each_connected_edge_subset(g, self.config.max_feature_edges, acyclic_only, |edges| {
-            let fragment = subgraph_from_edges(g, edges);
-            let key = match self.config.kind {
-                FeatureKind::Subgraph => graph_key(&fragment),
-                FeatureKind::Tree => tree_key(&fragment),
-            };
-            visit(key, fragment);
-        });
+        let max_edges = self.config.max_feature_edges;
+        match self.config.kind {
+            FeatureKind::Subgraph => for_each_connected_edge_subset(g, max_edges, |edges| {
+                let fragment = subgraph_from_edges(g, edges);
+                visit(graph_key(&fragment), fragment);
+            }),
+            FeatureKind::Tree => for_each_subtree(g, max_edges, |edges| {
+                let fragment = subgraph_from_edges(g, edges);
+                visit(tree_key(&fragment), fragment);
+            }),
+        }
     }
 
     /// Enumerates the fragments of a single graph, grouped by canonical key.

@@ -17,17 +17,10 @@ pub type EdgeRef = (VertexId, VertexId);
 
 /// Calls `visit` exactly once for every connected subset of at most
 /// `max_edges` edges of `g` (subsets of size ≥ 1). The subset is passed as a
-/// sorted slice of `(u, v)` pairs with `u < v`.
-///
-/// When `acyclic_only` is true, only subsets that form trees are visited
-/// (the extension step never closes a cycle), which is both a correctness
-/// filter and a large pruning win for tree-feature enumeration.
-pub fn for_each_connected_edge_subset<F>(
-    g: &Graph,
-    max_edges: usize,
-    acyclic_only: bool,
-    mut visit: F,
-) where
+/// sorted slice of `(u, v)` pairs with `u < v`. Trees alone are enumerated
+/// by [`for_each_subtree`].
+pub fn for_each_connected_edge_subset<F>(g: &Graph, max_edges: usize, mut visit: F)
+where
     F: FnMut(&[EdgeRef]),
 {
     if max_edges == 0 {
@@ -46,7 +39,6 @@ pub fn for_each_connected_edge_subset<F>(
             &edges,
             i,
             max_edges,
-            acyclic_only,
             &mut subset,
             &mut vertices,
             &mut seen,
@@ -64,9 +56,9 @@ pub fn for_each_connected_edge_subset<F>(
 /// This is the ESU scheme (Wernicke 2006) over the line graph: a tree is
 /// grown only from its lowest edge, and an extension edge enters the
 /// candidate list only at the step that first reaches it, so no tree is
-/// reached twice and no dedup set is kept. On dense graphs that is most of
-/// the cost of [`for_each_connected_edge_subset`] with `acyclic_only`,
-/// which reaches each k-edge tree up to k! times.
+/// reached twice and no dedup set is kept. [`for_each_connected_edge_subset`]
+/// restricted to trees would reach each k-edge tree up to k! times, which
+/// on dense graphs is most of the cost.
 pub fn for_each_subtree<F>(g: &Graph, max_edges: usize, mut visit: F)
 where
     F: FnMut(&[EdgeRef]),
@@ -179,7 +171,6 @@ fn extend<F>(
     edges: &[EdgeRef],
     min_edge: usize,
     max_edges: usize,
-    acyclic_only: bool,
     subset: &mut Vec<usize>,
     vertices: &mut BTreeSet<VertexId>,
     seen: &mut HashSet<Vec<u32>>,
@@ -202,25 +193,11 @@ fn extend<F>(
         if !touches_u && !touches_v {
             continue;
         }
-        if acyclic_only && touches_u && touches_v {
-            // Both endpoints already present: adding this edge closes a cycle.
-            continue;
-        }
         subset.push(j);
         let added_u = vertices.insert(u);
         let added_v = vertices.insert(v);
         if emit(edges, subset, seen, visit) {
-            extend(
-                g,
-                edges,
-                min_edge,
-                max_edges,
-                acyclic_only,
-                subset,
-                vertices,
-                seen,
-                visit,
-            );
+            extend(g, edges, min_edge, max_edges, subset, vertices, seen, visit);
         }
         if added_u {
             vertices.remove(&u);
@@ -257,7 +234,7 @@ pub fn subgraph_from_edges(g: &Graph, edges: &[EdgeRef]) -> Graph {
 /// realize each key.
 pub fn enumerate_connected_subgraphs(g: &Graph, max_edges: usize) -> BTreeMap<FeatureKey, usize> {
     let mut out: BTreeMap<FeatureKey, usize> = BTreeMap::new();
-    for_each_connected_edge_subset(g, max_edges, false, |edges| {
+    for_each_connected_edge_subset(g, max_edges, |edges| {
         let fragment = subgraph_from_edges(g, edges);
         *out.entry(graph_key(&fragment)).or_insert(0) += 1;
     });
@@ -290,15 +267,15 @@ mod tests {
         // Connected subsets of a triangle: 3 single edges, 3 two-edge paths,
         // 1 full triangle = 7.
         let mut count = 0;
-        for_each_connected_edge_subset(&triangle(), 3, false, |_| count += 1);
+        for_each_connected_edge_subset(&triangle(), 3, |_| count += 1);
         assert_eq!(count, 7);
     }
 
     #[test]
-    fn triangle_acyclic_subsets() {
-        // Acyclic subsets exclude the full triangle: 6.
+    fn triangle_subtrees() {
+        // Subtrees exclude the full triangle: 6.
         let mut count = 0;
-        for_each_connected_edge_subset(&triangle(), 3, true, |_| count += 1);
+        for_each_subtree(&triangle(), 3, |_| count += 1);
         assert_eq!(count, 6);
     }
 
@@ -306,7 +283,7 @@ mod tests {
     fn subsets_are_unique_and_connected() {
         let g = path4();
         let mut seen = std::collections::HashSet::new();
-        for_each_connected_edge_subset(&g, 3, false, |edges| {
+        for_each_connected_edge_subset(&g, 3, |edges| {
             assert!(seen.insert(edges.to_vec()), "duplicate subset {edges:?}");
             let sub = subgraph_from_edges(&g, edges);
             assert!(sqbench_graph::algo::is_connected(&sub));
@@ -316,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn subtrees_are_the_acyclic_connected_subsets_each_once() {
+    fn subtrees_are_the_connected_subsets_that_are_trees_each_once() {
         let k5 = GraphBuilder::new("k5")
             .vertices(&[0, 1, 0, 1, 2])
             .edges(&[
@@ -336,8 +313,10 @@ mod tests {
         for g in [triangle(), path4(), k5] {
             for max_edges in 0..=5 {
                 let mut want = std::collections::BTreeSet::new();
-                for_each_connected_edge_subset(&g, max_edges, true, |edges| {
-                    want.insert(edges.to_vec());
+                for_each_connected_edge_subset(&g, max_edges, |edges| {
+                    if subgraph_from_edges(&g, edges).vertex_count() == edges.len() + 1 {
+                        want.insert(edges.to_vec());
+                    }
                 });
                 let mut got = std::collections::BTreeSet::new();
                 for_each_subtree(&g, max_edges, |tree| {
@@ -361,14 +340,14 @@ mod tests {
     #[test]
     fn max_edges_zero_visits_nothing() {
         let mut count = 0;
-        for_each_connected_edge_subset(&triangle(), 0, false, |_| count += 1);
+        for_each_connected_edge_subset(&triangle(), 0, |_| count += 1);
         assert_eq!(count, 0);
     }
 
     #[test]
     fn max_edges_one_visits_each_edge() {
         let mut count = 0;
-        for_each_connected_edge_subset(&path4(), 1, false, |edges| {
+        for_each_connected_edge_subset(&path4(), 1, |edges| {
             assert_eq!(edges.len(), 1);
             count += 1;
         });
@@ -407,7 +386,7 @@ mod tests {
             .build()
             .unwrap();
         let mut max_size = 0;
-        for_each_connected_edge_subset(&g, 4, false, |edges| {
+        for_each_connected_edge_subset(&g, 4, |edges| {
             max_size = max_size.max(edges.len());
         });
         // The two edges are disconnected from each other, so no subset has

@@ -6,8 +6,8 @@
 //! CT-Index's enumeration is the one here: each subtree is grown once by
 //! [`for_each_subtree`] and keyed straight from its edges, which keeps the
 //! build tractable on dense graphs, where a 12-vertex graph already holds
-//! tens of thousands of 4-edge subtrees. Tree+Δ's miner walks the
-//! connected-edge-subset enumerator with its acyclic restriction.
+//! tens of thousands of 4-edge subtrees. Tree+Δ's miner walks the same
+//! enumerator and builds each subtree as a fragment.
 
 use crate::canonical::{grown_tree_key, FeatureKey};
 use crate::subgraphs::{for_each_subtree, EdgeRef};
@@ -147,10 +147,11 @@ mod tests {
             .unwrap();
         for max_edges in 1..=4 {
             let mut want: BTreeMap<FeatureKey, usize> = BTreeMap::new();
-            for_each_connected_edge_subset(&k5, max_edges, true, |edges| {
-                *want
-                    .entry(tree_key(&subgraph_from_edges(&k5, edges)))
-                    .or_insert(0) += 1;
+            for_each_connected_edge_subset(&k5, max_edges, |edges| {
+                let fragment = subgraph_from_edges(&k5, edges);
+                if fragment.vertex_count() == edges.len() + 1 {
+                    *want.entry(tree_key(&fragment)).or_insert(0) += 1;
+                }
             });
             assert_eq!(
                 enumerate_trees(&k5, max_edges),
