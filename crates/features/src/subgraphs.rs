@@ -1,12 +1,11 @@
 //! Exhaustive enumeration of connected subgraphs (edge subsets).
 //!
 //! gIndex's features are general connected graph fragments; CT-Index and
-//! Tree+Δ restrict themselves to trees (and cycles). Both restrictions are
-//! built on the same primitive: enumerate every connected subset of up to
-//! `max_edges` edges of a graph, exactly once. This module provides that
-//! primitive plus the convenience wrapper that groups fragments by canonical
-//! key, and [`for_each_subtree`], the tree-only enumerator that reaches each
-//! subtree once without a dedup set.
+//! Tree+Δ restrict themselves to trees (and cycles). The two classes have
+//! one enumerator each, both visiting every fragment of up to `max_edges`
+//! edges exactly once: [`for_each_connected_edge_subset`] for connected
+//! subgraphs (with the convenience wrapper that groups them by canonical
+//! key), and [`for_each_subtree`] for subtrees, which needs no dedup set.
 
 use crate::canonical::{graph_key, FeatureKey};
 use sqbench_graph::{Graph, VertexId};
