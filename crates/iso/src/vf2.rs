@@ -9,8 +9,12 @@
 //! The search follows the VF2 recipe: query vertices are matched one at a
 //! time in a connectivity-aware order, candidate target vertices are
 //! restricted to those with a compatible label, sufficient degree and
-//! consistent adjacency to the partial mapping, and a one-step look-ahead on
-//! unmatched-neighbor counts prunes hopeless branches early.
+//! consistent adjacency to the partial mapping, and a label-aware one-step
+//! look-ahead prunes hopeless branches early: the target vertex must have,
+//! per label bucket (`label & 63`), at least as many unused neighbors as the
+//! query vertex has unmapped ones. The buckets live on the stack and are
+//! filled by the loops the adjacency check already runs, so the rule needs
+//! no index and no extra pass.
 //!
 //! ## Allocation discipline
 //!
@@ -22,7 +26,7 @@
 //! allocates nothing. The search itself walks target adjacency slices
 //! directly instead of materializing per-depth candidate vectors.
 
-use sqbench_graph::{Graph, VertexId};
+use sqbench_graph::{Graph, Label, VertexId};
 
 /// Statistics of one matching run, useful for harness instrumentation and
 /// for tests that assert pruning actually happens.
@@ -42,18 +46,36 @@ pub struct MatchStats {
 /// The search maintains the invariant that both buffers are fully reset
 /// (all unmapped / unused) whenever a search returns, so preparing the state
 /// for the next target is a pair of `resize` calls — no `O(n)` clearing.
+///
+/// The state also meters the work done through it: the search states
+/// expanded and the searches run, summed over every call since the last
+/// [`MatchState::take_counts`]. They repeat exactly for a fixed input.
 #[derive(Debug, Clone, Default)]
 pub struct MatchState {
     /// Partial mapping query vertex -> target vertex (usize::MAX = unmapped).
     q_to_t: Vec<usize>,
     /// Target vertices already used by the mapping.
     t_used: Vec<bool>,
+    /// Search states expanded since the last `take_counts`.
+    states: usize,
+    /// Searches run (one per target tested) since the last `take_counts`.
+    calls: usize,
 }
 
 impl MatchState {
     /// Creates an empty scratch state.
     pub fn new() -> Self {
         MatchState::default()
+    }
+
+    /// Returns `(states, calls)` — the search states expanded and the
+    /// searches run through this state since the previous call — and
+    /// resets both to zero.
+    pub fn take_counts(&mut self) -> (usize, usize) {
+        (
+            std::mem::take(&mut self.states),
+            std::mem::take(&mut self.calls),
+        )
     }
 
     /// Sizes the buffers for a (query, target) pair. Relies on the
@@ -105,6 +127,8 @@ impl<'q> Vf2Matcher<'q> {
 
     /// `true` iff the query is subgraph-isomorphic to `target`, reusing the
     /// caller's scratch buffers (the zero-allocation verification path).
+    /// The search's work is added to the state's counts
+    /// ([`MatchState::take_counts`]).
     pub fn matches_with(&self, state: &mut MatchState, target: &Graph) -> bool {
         let mut stats = MatchStats::default();
         let mut results = Vec::new();
@@ -166,6 +190,7 @@ impl<'q> Vf2Matcher<'q> {
     /// Shared search driver. Returns the number of embeddings found by
     /// *this* run — `stats` accumulates across calls when the caller reuses
     /// it, so the limit must not be compared against the cumulative count.
+    /// Every run counts one call and its expanded states in `state`.
     fn run(
         &self,
         state: &mut MatchState,
@@ -177,6 +202,7 @@ impl<'q> Vf2Matcher<'q> {
     ) -> usize {
         let qn = self.query.vertex_count();
         let tn = target.vertex_count();
+        state.calls += 1;
         if limit == 0 {
             return 0;
         }
@@ -193,6 +219,7 @@ impl<'q> Vf2Matcher<'q> {
             return 0;
         }
         state.prepare(qn, tn);
+        let states_before = stats.states_visited;
         let mut search = Search {
             query: self.query,
             target,
@@ -205,7 +232,9 @@ impl<'q> Vf2Matcher<'q> {
             stats,
         };
         search.search(0);
-        search.found
+        let found = search.found;
+        state.states += stats.states_visited - states_before;
+        found
     }
 }
 
@@ -260,6 +289,16 @@ fn matching_order(query: &Graph) -> Vec<VertexId> {
         order.push(v);
     }
     order
+}
+
+/// Buckets of the look-ahead's per-label neighbor counts: labels are
+/// counted modulo 64, so a bucket holds every label congruent to it.
+const LABEL_BUCKETS: usize = 64;
+
+/// The look-ahead bucket of a label.
+#[inline]
+fn label_bucket(label: Label) -> usize {
+    label as usize & (LABEL_BUCKETS - 1)
 }
 
 struct Search<'a> {
@@ -348,7 +387,10 @@ impl Search<'_> {
         }
         // Core consistency: every already-mapped neighbor of qv must map to
         // a neighbor of tv (non-induced: unmapped target edges are fine).
-        let mut unmapped_query_neighbors = 0usize;
+        // The same loop counts the unmapped neighbors per label bucket
+        // (`label & 63`) for the look-ahead.
+        let mut need = [0u32; LABEL_BUCKETS];
+        let mut unmet = 0usize;
         for &qw in self.query.neighbors(qv) {
             let mapped = self.state.q_to_t[qw];
             if mapped != usize::MAX {
@@ -356,18 +398,32 @@ impl Search<'_> {
                     return false;
                 }
             } else {
-                unmapped_query_neighbors += 1;
+                need[label_bucket(self.query.label(qw))] += 1;
+                unmet += 1;
             }
         }
-        // Look-ahead: tv must have enough unused neighbors to host the
-        // still-unmapped neighbors of qv.
-        let free_target_neighbors = self
-            .target
-            .neighbors(tv)
-            .iter()
-            .filter(|&&tw| !self.state.t_used[tw])
-            .count();
-        free_target_neighbors >= unmapped_query_neighbors
+        // Label-aware look-ahead: any extension sends qv's unmapped
+        // neighbors injectively onto unused neighbors of tv with the same
+        // label, so each bucket's need must be met by tv's unused neighbors
+        // in that bucket. Labels sharing a bucket are counted together,
+        // which only weakens the bound.
+        if unmet == 0 {
+            return true;
+        }
+        for &tw in self.target.neighbors(tv) {
+            if self.state.t_used[tw] {
+                continue;
+            }
+            let slot = &mut need[label_bucket(self.target.label(tw))];
+            if *slot > 0 {
+                *slot -= 1;
+                unmet -= 1;
+                if unmet == 0 {
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -603,6 +659,51 @@ mod tests {
         let mut state = MatchState::new();
         assert!(matcher.matches_with(&mut state, &t));
         assert!(matcher.matches_with(&mut state, &t));
+    }
+
+    fn star(center: u32, leaves: &[u32]) -> Graph {
+        let mut b = GraphBuilder::new("star").vertex(center).vertices(leaves);
+        for leaf in 1..=leaves.len() {
+            b = b.edge(0, leaf);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn look_ahead_counts_free_neighbours_per_label_bucket() {
+        // The target center has two free neighbours, as many as the query
+        // center, but only one carries the label the query's two need: the
+        // center is rejected before any leaf is tried, so only the root
+        // state is expanded.
+        let q = star(1, &[2, 2]);
+        let mut stats = MatchStats::default();
+        assert!(Vf2Matcher::new(&q)
+            .find_with_limit(&star(1, &[2, 3]), 1, &mut stats)
+            .is_empty());
+        assert_eq!(stats.states_visited, 1);
+        // Labels 2 and 66 share a bucket (`label & 63`), which only weakens
+        // the bound: the center passes, the leaves fail, the answer holds.
+        let mut stats = MatchStats::default();
+        assert!(Vf2Matcher::new(&q)
+            .find_with_limit(&star(1, &[2, 66]), 1, &mut stats)
+            .is_empty());
+        assert!(stats.states_visited > 1);
+    }
+
+    #[test]
+    fn match_state_meters_every_search_until_taken() {
+        let q = path(&[1, 1, 1]);
+        let targets = [square_with_diagonal(), triangle([1, 1, 2]), path(&[1])];
+        let matcher = Vf2Matcher::new(&q);
+        let mut state = MatchState::new();
+        let mut stats = MatchStats::default();
+        for t in &targets {
+            let found = matcher.matches_with(&mut state, t);
+            assert_eq!(found, !matcher.find_with_limit(t, 1, &mut stats).is_empty());
+        }
+        // The size-rejected third target is a call with no states.
+        assert_eq!(state.take_counts(), (stats.states_visited, targets.len()));
+        assert_eq!(state.take_counts(), (0, 0));
     }
 
     #[test]

@@ -18,26 +18,50 @@ std::thread_local! {
     static STATE: RefCell<MatchState> = RefCell::new(MatchState::new());
 }
 
+/// The graph with vertices labelled `labels` whose `k`-th vertex pair (in
+/// `(0, 1), (0, 2), …, (1, 2), …` order) is an edge iff `edges[k]`.
+fn build_graph(labels: &[u32], edges: &[bool]) -> Graph {
+    let mut g = Graph::new("target");
+    for &l in labels {
+        g.add_vertex(l);
+    }
+    let n = labels.len();
+    let mut k = 0;
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if edges[k] {
+                g.add_edge(u, v).unwrap();
+            }
+            k += 1;
+        }
+    }
+    g
+}
+
 /// Random labeled graph strategy.
 fn arb_graph(max_n: usize, max_labels: u32) -> impl Strategy<Value = Graph> {
     (2..=max_n).prop_flat_map(move |n| {
         let labels = proptest::collection::vec(0..max_labels, n);
         let edge_flags = proptest::collection::vec(any::<bool>(), n * (n - 1) / 2);
-        (labels, edge_flags).prop_map(move |(labels, flags)| {
-            let mut g = Graph::new("target");
-            for &l in &labels {
-                g.add_vertex(l);
-            }
-            let mut k = 0;
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    if flags[k] {
-                        g.add_edge(u, v).unwrap();
-                    }
-                    k += 1;
-                }
-            }
-            g
+        (labels, edge_flags).prop_map(|(labels, flags)| build_graph(&labels, &flags))
+    })
+}
+
+/// Labels of the shared-bucket regime. VF2's look-ahead counts neighbours
+/// per `label & 63`, so 0 and 64 share a bucket, as do 1 and 65, and
+/// `u32::MAX` is the largest label id there is.
+const BUCKET_LABELS: [u32; 5] = [0, 1, 64, 65, u32::MAX];
+
+/// Random graph over [`BUCKET_LABELS`] whose vertex pairs are each joined
+/// with probability `quarters / 4`.
+fn arb_bucket_graph(max_n: usize, quarters: u8) -> impl Strategy<Value = Graph> {
+    (2..=max_n).prop_flat_map(move |n| {
+        let labels = proptest::collection::vec(0..BUCKET_LABELS.len(), n);
+        let edge_draws = proptest::collection::vec(0..4u8, n * (n - 1) / 2);
+        (labels, edge_draws).prop_map(move |(labels, draws)| {
+            let labels: Vec<u32> = labels.iter().map(|&i| BUCKET_LABELS[i]).collect();
+            let edges: Vec<bool> = draws.iter().map(|&d| d < quarters).collect();
+            build_graph(&labels, &edges)
         })
     })
 }
@@ -117,6 +141,19 @@ proptest! {
         if let Some(emb) = emb {
             validate_embedding(&query, &target, &emb);
         }
+    }
+
+    /// The same agreement where the label-aware look-ahead decides: dense
+    /// targets of up to 8 vertices, labels that share buckets, and label
+    /// ids up to `u32::MAX`.
+    #[test]
+    fn vf2_agrees_with_brute_force_on_shared_buckets(
+        query in arb_bucket_graph(5, 2),
+        target in arb_bucket_graph(8, 3),
+    ) {
+        let matcher = Vf2Matcher::new(&query);
+        let found = STATE.with(|state| matcher.matches_with(&mut state.borrow_mut(), &target));
+        prop_assert_eq!(found, brute_force_embeds(&query, &target));
     }
 }
 
