@@ -117,7 +117,8 @@ pub fn tree_key(tree: &Graph) -> FeatureKey {
 /// [`tree_key`] of a tree given by its edges in the order it was grown:
 /// the first edge joins two vertices, and each later edge `(known, new)`
 /// hangs one vertex the earlier edges did not touch onto one they did (the
-/// shape [`for_each_subtree`](crate::subgraphs::for_each_subtree) reports).
+/// order [`for_each_fragment`](crate::subgraphs::for_each_fragment) reports
+/// a subtree in).
 /// Skips building a [`Graph`] for each of the many small trees a dense
 /// graph holds.
 pub fn grown_tree_key(

@@ -15,12 +15,13 @@
 //! * [`paths`] — exhaustive enumeration of simple paths up to a maximum
 //!   length, with per-graph occurrence counts and start-vertex location
 //!   information (used by GraphGrepSX and Grapes).
-//! * [`trees`] — exhaustive enumeration of subtrees up to a maximum number
-//!   of edges (used by CT-Index and Tree+Δ).
+//! * [`trees`] — subtrees up to a maximum number of edges, grouped by
+//!   canonical key (used by CT-Index and Tree+Δ).
 //! * [`cycles`] — exhaustive enumeration of simple cycles up to a maximum
 //!   length (used by CT-Index and Tree+Δ's Δ features).
-//! * [`subgraphs`] — exhaustive enumeration of connected subgraphs up to a
-//!   maximum number of edges (used by gIndex).
+//! * [`subgraphs`] — the one fragment grower: every connected subgraph, or
+//!   every subtree, up to a maximum number of edges, each reached once, and
+//!   keyed once per grown shape (used by gIndex, Tree+Δ and CT-Index).
 //! * [`mining`] — frequent-feature mining with support-ratio and
 //!   discriminative-ratio pruning (used by gIndex and Tree+Δ).
 //! * [`fingerprint`] — fixed-width bit-array fingerprints hashed from

@@ -13,25 +13,22 @@
 //!   obtained by deleting one edge while keeping the fragment connected).
 //!
 //! The miner enumerates candidate fragments exhaustively per graph (general
-//! connected subgraphs for gIndex, subtrees for Tree+Δ) and then applies the
-//! two filters. This mirrors the cost profile the paper reports — frequent
-//! mining is by far the most expensive indexing strategy and degrades
-//! steeply as graphs grow — which is precisely the behaviour the benchmark
-//! needs to reproduce.
+//! connected subgraphs for gIndex, subtrees for Tree+Δ) through the crate's
+//! one fragment grower and one growth-code keyer
+//! ([`subgraphs`](crate::subgraphs)), and then applies the two filters.
+//! This mirrors the cost profile the paper reports — frequent mining is by
+//! far the most expensive indexing strategy and degrades steeply as graphs
+//! grow — which is precisely the behaviour the benchmark needs to
+//! reproduce. Which fragment of a key the enumeration reaches first decides
+//! nothing: the supports and the discriminative test read canonical keys
+//! only.
 
 use crate::canonical::{graph_key, tree_key, FeatureKey};
-use crate::subgraphs::{for_each_connected_edge_subset, for_each_subtree, subgraph_from_edges};
+use crate::subgraphs::{for_each_grown_shape, subgraph_from_edges};
 use sqbench_graph::{Dataset, Graph, GraphId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Which structural class of fragments the miner enumerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatureKind {
-    /// General connected subgraphs (gIndex).
-    Subgraph,
-    /// Subtrees only (Tree+Δ).
-    Tree,
-}
+pub use crate::subgraphs::FeatureKind;
 
 /// Configuration of the frequent miner.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,31 +124,15 @@ impl FrequentMiner {
         &self.config
     }
 
-    /// Visits every fragment of a single graph with its canonical key — the
-    /// one enumeration behind mining, online inserts and query processing.
-    /// Subtrees come from [`for_each_subtree`], which reaches each once;
-    /// their keys are canonical, so which of a key's fragments is seen
-    /// first does not matter.
-    fn for_each_fragment(&self, g: &Graph, mut visit: impl FnMut(FeatureKey, Graph)) {
-        let max_edges = self.config.max_feature_edges;
-        match self.config.kind {
-            FeatureKind::Subgraph => for_each_connected_edge_subset(g, max_edges, |edges| {
-                let fragment = subgraph_from_edges(g, edges);
-                visit(graph_key(&fragment), fragment);
-            }),
-            FeatureKind::Tree => for_each_subtree(g, max_edges, |edges| {
-                let fragment = subgraph_from_edges(g, edges);
-                visit(tree_key(&fragment), fragment);
-            }),
-        }
-    }
-
     /// Enumerates the fragments of a single graph, grouped by canonical key.
-    /// Returns, for each key, a representative fragment.
+    /// Returns, for each key, a representative fragment: the first one
+    /// grown, built only when its key is new.
     pub fn enumerate_graph(&self, g: &Graph) -> BTreeMap<FeatureKey, Graph> {
         let mut out: BTreeMap<FeatureKey, Graph> = BTreeMap::new();
-        self.for_each_fragment(g, |key, fragment| {
-            out.entry(key).or_insert(fragment);
+        let (max_edges, kind) = (self.config.max_feature_edges, self.config.kind);
+        for_each_grown_shape(g, max_edges, kind, |key, fragment, _| {
+            out.entry(key)
+                .or_insert_with(|| subgraph_from_edges(g, fragment));
         });
         out
     }
@@ -161,7 +142,8 @@ impl FrequentMiner {
     /// representative fragment per key would be kept only to be dropped.
     pub fn fragment_keys(&self, g: &Graph) -> BTreeSet<FeatureKey> {
         let mut out = BTreeSet::new();
-        self.for_each_fragment(g, |key, _| {
+        let (max_edges, kind) = (self.config.max_feature_edges, self.config.kind);
+        for_each_grown_shape(g, max_edges, kind, |key, _, _| {
             out.insert(key);
         });
         out
@@ -233,15 +215,13 @@ impl FrequentMiner {
         // Maximal proper sub-features: remove one edge, keep the fragment
         // connected (and, for trees, still a tree — removing an edge from a
         // tree always disconnects it, so take the larger of the two sides).
-        for (u, v) in fragment.edges().collect::<Vec<_>>() {
-            let sub = remove_edge_keep_connected(fragment, u, v);
-            let Some(sub) = sub else { continue };
-            if sub.edge_count() == 0 {
+        let key_of = |sub: &Graph| match self.config.kind {
+            FeatureKind::Subgraph => graph_key(sub),
+            FeatureKind::Tree => tree_key(sub),
+        };
+        for (u, v) in fragment.edges() {
+            let Some(key) = remove_edge_keep_connected(fragment, u, v, key_of) else {
                 continue;
-            }
-            let key = match self.config.kind {
-                FeatureKind::Subgraph => graph_key(&sub),
-                FeatureKind::Tree => tree_key(&sub),
             };
             if let Some(parent) = retained.get(&key) {
                 let support: BTreeSet<GraphId> = parent.supporting_graphs.iter().copied().collect();
@@ -260,10 +240,17 @@ impl FrequentMiner {
     }
 }
 
-/// Removes edge `(u, v)` from `fragment`; if the removal disconnects the
-/// fragment, returns the largest remaining connected component. Returns
-/// `None` for fragments with a single edge.
-fn remove_edge_keep_connected(fragment: &Graph, u: usize, v: usize) -> Option<Graph> {
+/// Removes edge `(u, v)` from `fragment` and returns the key of what is
+/// left if that is connected; otherwise of the largest remaining component:
+/// most edges, then most vertices, then the smallest key, so that the
+/// choice depends on the fragment's shape alone and not on how its vertices
+/// happen to be numbered. Returns `None` for fragments with a single edge.
+fn remove_edge_keep_connected(
+    fragment: &Graph,
+    u: usize,
+    v: usize,
+    key: impl Fn(&Graph) -> FeatureKey,
+) -> Option<FeatureKey> {
     if fragment.edge_count() <= 1 {
         return None;
     }
@@ -277,18 +264,17 @@ fn remove_edge_keep_connected(fragment: &Graph, u: usize, v: usize) -> Option<Gr
             let _ = g.add_edge_if_absent(a, b);
         }
     }
-    let components = sqbench_graph::algo::connected_components(&g);
-    let largest = components.into_iter().max_by_key(|c| {
-        // Prefer the component with the most edges (ties broken by size).
-        let sub = g.induced_subgraph(c);
-        (sub.edge_count(), c.len())
-    })?;
-    let sub = g.induced_subgraph(&largest);
-    if sub.edge_count() == 0 {
-        None
-    } else {
-        Some(sub)
-    }
+    let parts: Vec<Graph> = sqbench_graph::algo::connected_components(&g)
+        .iter()
+        .map(|c| g.induced_subgraph(c))
+        .collect();
+    let size = |part: &Graph| (part.edge_count(), part.vertex_count());
+    let largest = parts.iter().map(size).max()?;
+    parts
+        .iter()
+        .filter(|part| size(part) == largest)
+        .map(key)
+        .min()
 }
 
 #[cfg(test)]
@@ -449,16 +435,71 @@ mod tests {
     #[test]
     fn remove_edge_keeps_largest_component() {
         let p = path(&[1, 2, 3, 4]);
-        // Removing the middle edge splits 1-2 / 3-4; the helper keeps one
-        // single-edge side.
-        let sub = remove_edge_keep_connected(&p, 1, 2).unwrap();
-        assert_eq!(sub.edge_count(), 1);
+        // Removing the middle edge splits 1-2 / 3-4, equal in size: the
+        // smaller key wins, whichever side the numbering puts first.
+        assert_eq!(
+            remove_edge_keep_connected(&p, 1, 2, graph_key),
+            Some(graph_key(&path(&[1, 2])))
+        );
+        assert_eq!(
+            remove_edge_keep_connected(&path(&[4, 3, 2, 1]), 1, 2, graph_key),
+            Some(graph_key(&path(&[1, 2])))
+        );
         // Removing an end edge keeps the 2-edge remainder.
-        let sub2 = remove_edge_keep_connected(&p, 0, 1).unwrap();
-        assert_eq!(sub2.edge_count(), 2);
+        assert_eq!(
+            remove_edge_keep_connected(&p, 0, 1, graph_key),
+            Some(graph_key(&path(&[2, 3, 4])))
+        );
         // Single-edge fragments have no proper sub-feature.
         let e = path(&[1, 2]);
-        assert!(remove_edge_keep_connected(&e, 0, 1).is_none());
+        assert!(remove_edge_keep_connected(&e, 0, 1, graph_key).is_none());
+    }
+
+    /// `g` with its vertices numbered in reverse.
+    fn reversed(g: &Graph) -> Graph {
+        let n = g.vertex_count();
+        let labels: Vec<u32> = g.labels().iter().rev().copied().collect();
+        let edges: Vec<(usize, usize)> = g.edges().map(|(u, v)| (n - 1 - u, n - 1 - v)).collect();
+        GraphBuilder::new(g.name())
+            .vertices(&labels)
+            .edges(&edges)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn mining_does_not_depend_on_vertex_numbering() {
+        // A labelled P4 1-2-3-4 whose P3 sub-features are frequent but not
+        // discriminative (every graph holding both of a P3's edges holds the
+        // P3), so only the middle-edge removal judges the P4, and it leaves
+        // two single edges of equal size: 1-2 in four graphs, 3-4 in one.
+        let graphs = vec![
+            path(&[1, 2, 3, 4]),
+            path(&[1, 2]),
+            path(&[1, 2]),
+            path(&[1, 2]),
+        ];
+        let permuted = graphs.iter().map(reversed).collect();
+        let as_given = Dataset::from_graphs("given", graphs);
+        let permuted = Dataset::from_graphs("permuted", permuted);
+        for kind in [FeatureKind::Subgraph, FeatureKind::Tree] {
+            let miner = FrequentMiner::new(MiningConfig {
+                kind,
+                ..MiningConfig::gindex(3)
+            });
+            let summary = |ds: &Dataset| -> Vec<(FeatureKey, Vec<GraphId>, usize)> {
+                miner
+                    .mine(ds)
+                    .into_values()
+                    .map(|f| (f.key, f.supporting_graphs, f.edge_count))
+                    .collect()
+            };
+            let mined = summary(&as_given);
+            assert_eq!(mined, summary(&permuted), "{kind:?}");
+            // The P4 is kept: the 1-2 side prunes to 4 graphs against its 1.
+            assert!(mined.iter().any(|(_, _, edges)| *edges == 3), "{kind:?}");
+            assert!(!mined.iter().any(|(_, _, edges)| *edges == 2), "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,64 +1,49 @@
-//! Exhaustive enumeration of connected subgraphs (edge subsets).
+//! Exhaustive enumeration of connected fragments (edge subsets).
 //!
 //! gIndex's features are general connected graph fragments; CT-Index and
-//! Tree+Δ restrict themselves to trees (and cycles). The two classes have
-//! one enumerator each, both visiting every fragment of up to `max_edges`
-//! edges exactly once: [`for_each_connected_edge_subset`] for connected
-//! subgraphs (with the convenience wrapper that groups them by canonical
-//! key), and [`for_each_subtree`] for subtrees, which needs no dedup set.
+//! Tree+Δ restrict themselves to trees (and cycles). Both classes come from
+//! one grower, [`for_each_fragment`], which visits every connected edge
+//! subset of up to `max_edges` edges exactly once and, when only trees are
+//! asked for, never takes an edge that would close a cycle.
+//!
+//! Every grown fragment is keyed through one growth code (`growth_code`):
+//! fragments grown with the same code are the same labelled graph, so
+//! `for_each_grown_shape` computes a canonical key once per code rather
+//! than once per fragment. CT-Index's subtree counts, the miner's per-graph
+//! keys and [`enumerate_connected_subgraphs`] all read their keys from it.
 
-use crate::canonical::{graph_key, FeatureKey};
-use sqbench_graph::{Graph, VertexId};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use crate::canonical::{graph_key, grown_tree_key, FeatureKey};
+use sqbench_graph::{Graph, Label, VertexId};
+use std::collections::{BTreeMap, HashMap};
 
-/// An edge of the host graph identified by its endpoints with `u < v`.
-pub type EdgeRef = (VertexId, VertexId);
-
-/// Calls `visit` exactly once for every connected subset of at most
-/// `max_edges` edges of `g` (subsets of size ≥ 1). The subset is passed as a
-/// sorted slice of `(u, v)` pairs with `u < v`. Trees alone are enumerated
-/// by [`for_each_subtree`].
-pub fn for_each_connected_edge_subset<F>(g: &Graph, max_edges: usize, mut visit: F)
-where
-    F: FnMut(&[EdgeRef]),
-{
-    if max_edges == 0 {
-        return;
-    }
-    let edges: Vec<EdgeRef> = g.edges().collect();
-    let mut seen: HashSet<Vec<u32>> = HashSet::new();
-    for (i, &first) in edges.iter().enumerate() {
-        let mut subset: Vec<usize> = vec![i];
-        let mut vertices: BTreeSet<VertexId> = BTreeSet::new();
-        vertices.insert(first.0);
-        vertices.insert(first.1);
-        emit(&edges, &subset, &mut seen, &mut visit);
-        extend(
-            g,
-            &edges,
-            i,
-            max_edges,
-            &mut subset,
-            &mut vertices,
-            &mut seen,
-            &mut visit,
-        );
-    }
+/// Which structural class of fragments is enumerated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FeatureKind {
+    /// General connected subgraphs (gIndex).
+    Subgraph,
+    /// Subtrees only (CT-Index and Tree+Δ).
+    Tree,
 }
 
-/// Calls `visit` exactly once for every subtree of `1..=max_edges` edges of
-/// `g`. The tree's edges come in the order it was grown: the first is its
-/// lowest-numbered edge as `(u, v)` with `u < v`, and each later edge is
-/// `(known, new)`, hanging a vertex no earlier edge touched onto one an
-/// earlier edge did.
+/// An edge of the host graph identified by its endpoints.
+pub type EdgeRef = (VertexId, VertexId);
+
+/// Calls `visit` exactly once for every connected fragment of
+/// `1..=max_edges` edges of `g` — every subtree under
+/// [`FeatureKind::Tree`]. The fragment's edges come in the order it was
+/// grown: the first is its lowest-numbered edge as `(u, v)` with `u < v`;
+/// each later edge is `(known, new)`, hanging a vertex no earlier edge
+/// touched onto one an earlier edge did, or `(a, b)` with `a < b` when both
+/// ends are already in the fragment (never under [`FeatureKind::Tree`]).
 ///
-/// This is the ESU scheme (Wernicke 2006) over the line graph: a tree is
-/// grown only from its lowest edge, and an extension edge enters the
-/// candidate list only at the step that first reaches it, so no tree is
-/// reached twice and no dedup set is kept. [`for_each_connected_edge_subset`]
-/// restricted to trees would reach each k-edge tree up to k! times, which
-/// on dense graphs is most of the cost.
-pub fn for_each_subtree<F>(g: &Graph, max_edges: usize, mut visit: F)
+/// This is the ESU scheme (Wernicke 2006) over the line graph: a fragment
+/// is grown only from its lowest edge, and an extension edge enters the
+/// candidate list only at the step that first reaches it, so no fragment is
+/// reached twice and no dedup set is kept. An edge between two vertices the
+/// fragment already holds brings no new candidates. Every connected part
+/// of a tree is a tree, so skipping the cycle-closing edges cuts off no
+/// subtree.
+pub fn for_each_fragment<F>(g: &Graph, max_edges: usize, kind: FeatureKind, mut visit: F)
 where
     F: FnMut(&[EdgeRef]),
 {
@@ -71,141 +56,168 @@ where
         incident[u].push(i);
         incident[v].push(i);
     }
-    let mut in_tree = vec![false; g.vertex_count()];
-    let mut tree: Vec<EdgeRef> = Vec::with_capacity(max_edges);
+    let mut grower = Grower {
+        edges: &edges,
+        incident: &incident,
+        kind,
+        max_edges,
+        root: 0,
+        in_fragment: vec![false; g.vertex_count()],
+        fragment: Vec::with_capacity(max_edges),
+    };
     for (root, &(u, v)) in edges.iter().enumerate() {
-        tree.push((u, v));
-        in_tree[u] = true;
-        in_tree[v] = true;
-        visit(&tree);
+        grower.root = root;
+        grower.fragment.push((u, v));
+        grower.in_fragment[u] = true;
+        grower.in_fragment[v] = true;
+        visit(&grower.fragment);
         let candidates = incident[u]
             .iter()
             .chain(&incident[v])
             .copied()
             .filter(|&e| e > root)
             .collect();
-        let grower = SubtreeGrower {
-            edges: &edges,
-            incident: &incident,
-            root,
-            max_edges,
-        };
-        grower.grow(candidates, &mut tree, &mut in_tree, &mut visit);
-        in_tree[u] = false;
-        in_tree[v] = false;
-        tree.pop();
+        grower.grow(candidates, &mut visit);
+        grower.in_fragment[u] = false;
+        grower.in_fragment[v] = false;
+        grower.fragment.pop();
     }
 }
 
-/// What stays fixed while [`for_each_subtree`] grows the trees rooted at
-/// one edge.
-struct SubtreeGrower<'a> {
+/// The state [`for_each_fragment`] grows the fragments rooted at one edge
+/// in.
+struct Grower<'a> {
     edges: &'a [EdgeRef],
     incident: &'a [Vec<usize>],
-    root: usize,
+    kind: FeatureKind,
     max_edges: usize,
+    root: usize,
+    in_fragment: Vec<bool>,
+    fragment: Vec<EdgeRef>,
 }
 
-impl SubtreeGrower<'_> {
-    fn grow<F>(
-        &self,
-        mut candidates: Vec<usize>,
-        tree: &mut Vec<EdgeRef>,
-        in_tree: &mut [bool],
-        visit: &mut F,
-    ) where
+impl Grower<'_> {
+    fn grow<F>(&mut self, mut candidates: Vec<usize>, visit: &mut F)
+    where
         F: FnMut(&[EdgeRef]),
     {
-        if tree.len() >= self.max_edges {
+        if self.fragment.len() >= self.max_edges {
             return;
         }
         while let Some(e) = candidates.pop() {
             let (a, b) = self.edges[e];
-            let (known, new) = match (in_tree[a], in_tree[b]) {
-                (true, false) => (a, b),
-                (false, true) => (b, a),
-                // Both ends are in the tree: the edge would close a cycle,
+            let new = match (self.in_fragment[a], self.in_fragment[b]) {
+                (true, false) => Some(b),
+                (false, true) => Some(a),
+                // Both ends are in the fragment: the edge closes a cycle,
                 // and so would every later step that kept it.
-                _ => continue,
+                _ if self.kind == FeatureKind::Tree => continue,
+                _ => None,
             };
-            // The edges at `new` whose far end is outside the tree first
-            // become reachable here; the others are already candidates or
-            // were passed over by an earlier branch.
             let mut next = candidates.clone();
-            next.extend(self.incident[new].iter().copied().filter(|&f| {
-                let (x, y) = self.edges[f];
-                f > self.root && !in_tree[x + y - new]
-            }));
-            tree.push((known, new));
-            in_tree[new] = true;
-            visit(tree);
-            self.grow(next, tree, in_tree, visit);
-            in_tree[new] = false;
-            tree.pop();
+            let step = match new {
+                Some(new) => {
+                    // The edges at `new` whose far end is outside the
+                    // fragment first become reachable here; the others are
+                    // already candidates or were passed over by an earlier
+                    // branch.
+                    next.extend(self.incident[new].iter().copied().filter(|&f| {
+                        let (x, y) = self.edges[f];
+                        f > self.root && !self.in_fragment[x + y - new]
+                    }));
+                    self.in_fragment[new] = true;
+                    (a + b - new, new)
+                }
+                None => (a, b),
+            };
+            self.fragment.push(step);
+            visit(&self.fragment);
+            self.grow(next, visit);
+            self.fragment.pop();
+            if let Some(new) = new {
+                self.in_fragment[new] = false;
+            }
         }
     }
 }
 
-/// Reports the subset through `visit` if it has not been produced before.
-fn emit<F>(edges: &[EdgeRef], subset: &[usize], seen: &mut HashSet<Vec<u32>>, visit: &mut F) -> bool
+/// Marks a cycle-closing edge in a growth code. Never a slot: a fragment
+/// has far fewer vertices.
+const CLOSES_CYCLE: Label = Label::MAX;
+
+/// Writes the growth code of a fragment reported by [`for_each_fragment`]
+/// into `code`: the first edge's two labels; then per edge that brings in a
+/// vertex, the slot of the vertex it hangs from and the new vertex's label;
+/// per edge that closes a cycle, [`CLOSES_CYCLE`] and the slots of its two
+/// ends. Slots number the vertices in the order the fragment reached them
+/// (`slots` is scratch). The code reads back into the fragment with its
+/// vertices renumbered by slot, so two fragments with the same code are
+/// the same labelled graph.
+fn growth_code(g: &Graph, fragment: &[EdgeRef], slots: &mut Vec<VertexId>, code: &mut Vec<Label>) {
+    let (u, v) = fragment[0];
+    slots.clear();
+    slots.extend([u, v]);
+    code.clear();
+    code.extend([g.label(u), g.label(v)]);
+    let slot = |slots: &[VertexId], w| slots.iter().position(|&s| s == w);
+    for &(a, b) in &fragment[1..] {
+        let known = slot(slots, a).expect("grown order") as Label;
+        match slot(slots, b) {
+            Some(other) => code.extend([CLOSES_CYCLE, known, other as Label]),
+            None => {
+                code.extend([known, g.label(b)]);
+                slots.push(b);
+            }
+        }
+    }
+}
+
+/// Calls `visit` once per growth code among the fragments of `g` that
+/// [`for_each_fragment`] grows, in the order each code is first reached,
+/// with the code's canonical key, its first fragment (edges in grown
+/// order) and the number of fragments grown with it. The key is computed
+/// once per code: a tree's from its grown edges
+/// ([`grown_tree_key`], no [`Graph`] built); a general fragment's from the
+/// fragment built once ([`graph_key`]), so an acyclic fragment keeps its
+/// `G:` key.
+pub(crate) fn for_each_grown_shape<F>(g: &Graph, max_edges: usize, kind: FeatureKind, mut visit: F)
 where
-    F: FnMut(&[EdgeRef]),
+    F: FnMut(FeatureKey, &[EdgeRef], usize),
 {
-    let mut key: Vec<u32> = subset.iter().map(|&i| i as u32).collect();
-    key.sort_unstable();
-    if !seen.insert(key) {
-        return false;
+    let mut first: HashMap<Vec<Label>, usize> = HashMap::new();
+    let mut shapes: Vec<(Vec<EdgeRef>, usize)> = Vec::new();
+    let (mut slots, mut code) = (Vec::new(), Vec::new());
+    for_each_fragment(g, max_edges, kind, |fragment| {
+        growth_code(g, fragment, &mut slots, &mut code);
+        match first.get(code.as_slice()) {
+            Some(&i) => shapes[i].1 += 1,
+            None => {
+                first.insert(code.clone(), shapes.len());
+                shapes.push((fragment.to_vec(), 1));
+            }
+        }
+    });
+    for (fragment, count) in shapes {
+        let key = match kind {
+            FeatureKind::Tree => grown_tree_key(&fragment, |v| g.label(v)),
+            FeatureKind::Subgraph => graph_key(&subgraph_from_edges(g, &fragment)),
+        };
+        visit(key, &fragment, count);
     }
-    let mut resolved: Vec<EdgeRef> = subset.iter().map(|&i| edges[i]).collect();
-    resolved.sort_unstable();
-    visit(&resolved);
-    true
 }
 
-#[allow(clippy::too_many_arguments)]
-// `g` is threaded through the recursion for the emit callback's sake.
-#[allow(clippy::only_used_in_recursion)]
-fn extend<F>(
+/// The fragments of `g` grouped by canonical key, counting the distinct
+/// edge subsets that realize each key.
+pub(crate) fn count_fragment_keys(
     g: &Graph,
-    edges: &[EdgeRef],
-    min_edge: usize,
     max_edges: usize,
-    subset: &mut Vec<usize>,
-    vertices: &mut BTreeSet<VertexId>,
-    seen: &mut HashSet<Vec<u32>>,
-    visit: &mut F,
-) where
-    F: FnMut(&[EdgeRef]),
-{
-    if subset.len() >= max_edges {
-        return;
-    }
-    // Candidate extensions: edges with index > min_edge (so each subset is
-    // rooted at its minimum edge) that touch the current vertex set and are
-    // not already included.
-    for (j, &(u, v)) in edges.iter().enumerate().skip(min_edge + 1) {
-        if subset.contains(&j) {
-            continue;
-        }
-        let touches_u = vertices.contains(&u);
-        let touches_v = vertices.contains(&v);
-        if !touches_u && !touches_v {
-            continue;
-        }
-        subset.push(j);
-        let added_u = vertices.insert(u);
-        let added_v = vertices.insert(v);
-        if emit(edges, subset, seen, visit) {
-            extend(g, edges, min_edge, max_edges, subset, vertices, seen, visit);
-        }
-        if added_u {
-            vertices.remove(&u);
-        }
-        if added_v {
-            vertices.remove(&v);
-        }
-        subset.pop();
-    }
+    kind: FeatureKind,
+) -> BTreeMap<FeatureKey, usize> {
+    let mut out: BTreeMap<FeatureKey, usize> = BTreeMap::new();
+    for_each_grown_shape(g, max_edges, kind, |key, _, count| {
+        *out.entry(key).or_insert(0) += count;
+    });
+    out
 }
 
 /// Builds a standalone [`Graph`] from a connected edge subset of `g`.
@@ -232,18 +244,15 @@ pub fn subgraph_from_edges(g: &Graph, edges: &[EdgeRef]) -> Graph {
 /// them by canonical key, counting the number of distinct edge subsets that
 /// realize each key.
 pub fn enumerate_connected_subgraphs(g: &Graph, max_edges: usize) -> BTreeMap<FeatureKey, usize> {
-    let mut out: BTreeMap<FeatureKey, usize> = BTreeMap::new();
-    for_each_connected_edge_subset(g, max_edges, |edges| {
-        let fragment = subgraph_from_edges(g, edges);
-        *out.entry(graph_key(&fragment)).or_insert(0) += 1;
-    });
-    out
+    count_fragment_keys(g, max_edges, FeatureKind::Subgraph)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical::tree_key;
     use sqbench_graph::GraphBuilder;
+    use std::collections::BTreeSet;
 
     fn triangle() -> Graph {
         GraphBuilder::new("tri")
@@ -261,38 +270,10 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn triangle_edge_subsets() {
-        // Connected subsets of a triangle: 3 single edges, 3 two-edge paths,
-        // 1 full triangle = 7.
-        let mut count = 0;
-        for_each_connected_edge_subset(&triangle(), 3, |_| count += 1);
-        assert_eq!(count, 7);
-    }
-
-    #[test]
-    fn triangle_subtrees() {
-        // Subtrees exclude the full triangle: 6.
-        let mut count = 0;
-        for_each_subtree(&triangle(), 3, |_| count += 1);
-        assert_eq!(count, 6);
-    }
-
-    #[test]
-    fn subsets_are_unique_and_connected() {
-        let g = path4();
-        let mut seen = std::collections::HashSet::new();
-        for_each_connected_edge_subset(&g, 3, |edges| {
-            assert!(seen.insert(edges.to_vec()), "duplicate subset {edges:?}");
-            let sub = subgraph_from_edges(&g, edges);
-            assert!(sqbench_graph::algo::is_connected(&sub));
-        });
-        // Path with 3 edges: subsets = 3 singles + 2 pairs + 1 triple = 6.
-        assert_eq!(seen.len(), 6);
-    }
-
-    #[test]
-    fn subtrees_are_the_connected_subsets_that_are_trees_each_once() {
+    /// The oracle's small hosts: a triangle, a path, K5 with repeated
+    /// labels (every shape up to 5 edges, many label placements), a 4-cycle
+    /// with a chord, and a host of two components.
+    fn hosts() -> Vec<Graph> {
         let k5 = GraphBuilder::new("k5")
             .vertices(&[0, 1, 0, 1, 2])
             .edges(&[
@@ -309,48 +290,132 @@ mod tests {
             ])
             .build()
             .unwrap();
-        for g in [triangle(), path4(), k5] {
+        let chorded = GraphBuilder::new("c4+chord")
+            .vertices(&[1, 1, 2, 1])
+            .edges(&[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+            .build()
+            .unwrap();
+        let apart = GraphBuilder::new("apart")
+            .vertices(&[1, 1, 1, 1, 2])
+            .edges(&[(0, 1), (2, 3), (3, 4), (4, 2)])
+            .build()
+            .unwrap();
+        vec![triangle(), path4(), k5, chorded, apart]
+    }
+
+    /// Every connected fragment of `1..=max_edges` edges of `g` (only the
+    /// trees under [`FeatureKind::Tree`]) as its sorted edges, found by
+    /// trying all 2^m edge subsets: it rests on nothing the grower does.
+    fn brute_force_fragments(
+        g: &Graph,
+        max_edges: usize,
+        kind: FeatureKind,
+    ) -> BTreeSet<Vec<EdgeRef>> {
+        let edges: Vec<EdgeRef> = g.edges().collect();
+        assert!(edges.len() <= 10, "2^m subsets of a small host only");
+        (1u32..1 << edges.len())
+            .map(|mask| -> Vec<EdgeRef> {
+                (0..edges.len())
+                    .filter(|&i| mask & (1 << i) != 0)
+                    .map(|i| edges[i])
+                    .collect()
+            })
+            .filter(|subset| subset.len() <= max_edges)
+            .filter(|subset| {
+                let fragment = subgraph_from_edges(g, subset);
+                sqbench_graph::algo::is_connected(&fragment)
+                    && (kind == FeatureKind::Subgraph
+                        || fragment.vertex_count() == subset.len() + 1)
+            })
+            .collect()
+    }
+
+    /// The grower visits exactly the oracle's fragments, each once, in
+    /// grown order.
+    fn grower_matches_the_oracle(kind: FeatureKind) {
+        for g in hosts() {
             for max_edges in 0..=5 {
-                let mut want = std::collections::BTreeSet::new();
-                for_each_connected_edge_subset(&g, max_edges, |edges| {
-                    if subgraph_from_edges(&g, edges).vertex_count() == edges.len() + 1 {
-                        want.insert(edges.to_vec());
+                let mut got = BTreeSet::new();
+                for_each_fragment(&g, max_edges, kind, |fragment| {
+                    let (u, v) = fragment[0];
+                    assert!(u < v);
+                    let mut reached: BTreeSet<VertexId> = [u, v].into();
+                    for &(a, b) in &fragment[1..] {
+                        assert!(reached.contains(&a), "{fragment:?}");
+                        if !reached.insert(b) {
+                            assert!(kind == FeatureKind::Subgraph && a < b, "{fragment:?}");
+                        }
                     }
-                });
-                let mut got = std::collections::BTreeSet::new();
-                for_each_subtree(&g, max_edges, |tree| {
-                    // Grown order: every edge after the first brings in
-                    // exactly one new vertex at its second end.
-                    for (k, &(known, new)) in tree.iter().enumerate().skip(1) {
-                        let earlier = &tree[..k];
-                        assert!(earlier.iter().any(|&(u, v)| u == known || v == known));
-                        assert!(earlier.iter().all(|&(u, v)| u != new && v != new));
-                    }
-                    let mut sorted: Vec<EdgeRef> =
-                        tree.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+                    let mut sorted: Vec<EdgeRef> = fragment
+                        .iter()
+                        .map(|&(a, b)| (a.min(b), a.max(b)))
+                        .collect();
                     sorted.sort_unstable();
-                    assert!(got.insert(sorted), "subtree {tree:?} visited twice");
+                    assert!(got.insert(sorted), "{fragment:?} visited twice");
                 });
-                assert_eq!(got, want, "max_edges {max_edges}");
+                assert_eq!(
+                    got,
+                    brute_force_fragments(&g, max_edges, kind),
+                    "{} max_edges {max_edges}",
+                    g.name()
+                );
             }
         }
     }
 
     #[test]
-    fn max_edges_zero_visits_nothing() {
-        let mut count = 0;
-        for_each_connected_edge_subset(&triangle(), 0, |_| count += 1);
-        assert_eq!(count, 0);
+    fn fragments_are_the_connected_subsets_each_once() {
+        grower_matches_the_oracle(FeatureKind::Subgraph);
     }
 
     #[test]
-    fn max_edges_one_visits_each_edge() {
+    fn subtrees_are_the_connected_subsets_that_are_trees_each_once() {
+        grower_matches_the_oracle(FeatureKind::Tree);
+    }
+
+    #[test]
+    fn grown_keys_match_keys_of_the_built_fragments() {
+        // One key per growth code must be exact: summed over the codes, each
+        // key counts what keying every oracle fragment from its built graph
+        // counts.
+        for kind in [FeatureKind::Subgraph, FeatureKind::Tree] {
+            for g in hosts() {
+                for max_edges in 1..=5 {
+                    let mut want: BTreeMap<FeatureKey, usize> = BTreeMap::new();
+                    for edges in brute_force_fragments(&g, max_edges, kind) {
+                        let fragment = subgraph_from_edges(&g, &edges);
+                        let key = match kind {
+                            FeatureKind::Subgraph => graph_key(&fragment),
+                            FeatureKind::Tree => tree_key(&fragment),
+                        };
+                        *want.entry(key).or_insert(0) += 1;
+                    }
+                    assert_eq!(
+                        count_fragment_keys(&g, max_edges, kind),
+                        want,
+                        "{kind:?} {} max_edges {max_edges}",
+                        g.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn triangle_edge_subsets() {
+        // Connected subsets of a triangle: 3 single edges, 3 two-edge paths,
+        // 1 full triangle = 7.
         let mut count = 0;
-        for_each_connected_edge_subset(&path4(), 1, |edges| {
-            assert_eq!(edges.len(), 1);
-            count += 1;
-        });
-        assert_eq!(count, 3);
+        for_each_fragment(&triangle(), 3, FeatureKind::Subgraph, |_| count += 1);
+        assert_eq!(count, 7);
+    }
+
+    #[test]
+    fn triangle_subtrees() {
+        // Subtrees exclude the full triangle: 6.
+        let mut count = 0;
+        for_each_fragment(&triangle(), 3, FeatureKind::Tree, |_| count += 1);
+        assert_eq!(count, 6);
     }
 
     #[test]
@@ -375,21 +440,5 @@ mod tests {
         let mut sorted = counts.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn disconnected_host_graph_only_yields_connected_fragments() {
-        let g = GraphBuilder::new("2e")
-            .vertices(&[1, 1, 1, 1])
-            .edges(&[(0, 1), (2, 3)])
-            .build()
-            .unwrap();
-        let mut max_size = 0;
-        for_each_connected_edge_subset(&g, 4, |edges| {
-            max_size = max_size.max(edges.len());
-        });
-        // The two edges are disconnected from each other, so no subset has
-        // more than one edge.
-        assert_eq!(max_size, 1);
     }
 }

@@ -126,12 +126,6 @@ impl Router {
         self.synopses[shard].retract(synopsis);
     }
 
-    /// Estimated heap bytes of all shard synopses — the memory the routing
-    /// tier adds on top of the per-shard indexes. Per shard, not per graph.
-    pub fn memory_bytes(&self) -> usize {
-        self.synopses.iter().map(ShardSynopsis::memory_bytes).sum()
-    }
-
     /// Routes one query through the bound checks: `mask[s]` is `true` iff
     /// shard `s` must be probed under [`RoutingMode::Synopsis`].
     pub fn route(&self, query: &Graph) -> Vec<bool> {
@@ -189,7 +183,6 @@ mod tests {
         let shards = [shard_of(0, &[4, 5]), shard_of(1, &[4]), shard_of(2, &[6])];
         let router = Router::build(shards.iter());
         assert_eq!(router.shard_count(), 3);
-        assert!(router.memory_bytes() > 0);
         let q0 = mono_path(0, 3);
         let q2 = mono_path(2, 3);
         assert_eq!(router.route(&q0), vec![true, false, false]);

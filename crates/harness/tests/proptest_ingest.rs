@@ -124,7 +124,7 @@ proptest! {
             for g in &state.pool {
                 state.router.absorb(0, &GraphSynopsis::of(g));
             }
-            bytes.push(state.router.memory_bytes());
+            bytes.push(state.router.synopsis(0).memory_bytes());
         }
         prop_assert_eq!(state.router.synopsis(0).graphs, 20 * pool_len);
         prop_assert!(bytes.iter().all(|&b| b == bytes[0]), "{:?}", bytes);
